@@ -24,6 +24,7 @@ from .lexicon import (
     Concept,
     LearnerProfile,
     LexEntry,
+    Lexicon,
     advanced_profile,
     beginner_profile,
     default_lexicon,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import (
     InputProcError,
@@ -29,7 +28,7 @@ from .lexicon import (
     advanced_profile,
     beginner_profile,
     default_lexicon,
-    load_lexicon,
+    parse_lexicon,
 )
 from .principle1 import atom_sort_key, enumerate_p1_models
 from .principle2 import (
@@ -45,7 +44,7 @@ from .principle2 import (
     voice_of,
 )
 from .pias import ValuableVerdict, check_paragraph, generate_valuable, paragraph_valuable
-from .text import ParagraphEncoding, encode_text
+from .text import ParagraphEncoding, encode_text, read_text
 from .world import KnowledgeBase, default_world, load_world
 
 EXIT_OK = 0
@@ -234,12 +233,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     try:
-        lexicon = load_lexicon(cfg.lexicon_path) if cfg.lexicon_path else default_lexicon()
         kb = load_world(cfg.world_path) if cfg.world_path else default_world()
+        if cfg.lexicon_path:
+            lexicon = parse_lexicon(read_text(cfg.lexicon_path), kb)
+        else:
+            lexicon = default_lexicon(kb)
         paragraph = None
         if cfg.command != "generate":
-            raw = Path(cfg.text_path).read_text(encoding="utf-8")
-            paragraph = encode_text(raw)
+            paragraph = encode_text(read_text(cfg.text_path))
     except (ParseError, OSError, InputProcError) as exc:
         print(f"inputproc: error: {exc}", file=sys.stderr)
         return EXIT_PARSE

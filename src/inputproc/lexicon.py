@@ -13,12 +13,15 @@ A parallel order ranks sentence positions: initial > final > medial.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import DuplicateEntry, ParseError, UnknownCategory
-from .text import FINAL, INITIAL, MEDIAL
+from .text import FINAL, INITIAL, MEDIAL, read_text
+from .world import ACTIONS, KnowledgeBase
 
 # Hierarchy nodes.
 WORDS = "words"
@@ -58,6 +61,11 @@ class Concept:
     name: str
 
 
+# The form concepts that mark the passive voice on a sentence's surface.
+PASSIVE_VOICE_CONCEPT = Concept(SEMANTIC, "passive_voice")
+PAST_PARTICIPLE_CONCEPT = Concept(SEMANTIC, "past_participle")
+
+
 @dataclass(frozen=True)
 class LexEntry:
     """One internalized reading of a word: membership in a leaf category
@@ -68,14 +76,99 @@ class LexEntry:
     concept: Concept
 
 
+class Lexicon(frozenset):
+    """A set of lexicon entries, indexed by word when it is built.
+
+    It is a frozenset of `LexEntry`, so it compares, hashes and iterates like
+    one. Building it scans the entries once; every lookup afterwards costs the
+    same whatever the vocabulary size.
+    """
+
+    __slots__ = ("_readings", "_nouns", "_actions", "_forms", "_verbs")
+
+    def __new__(cls, entries: Iterable[LexEntry] = ()):
+        self = super().__new__(cls, entries)
+        readings: dict[str, tuple[LexEntry, ...]] = {}
+        nouns: dict[str, str] = {}
+        actions: dict[str, str] = {}
+        forms: dict[Concept, set[str]] = {}
+        for e in self:
+            word, concept = e.word, e.concept
+            readings[word] = readings.get(word, ()) + (e,)
+            if e.category != CONTENT_WORDS:
+                forms.setdefault(concept, set()).add(word)
+            elif concept.kind == ENTITY or concept.kind == ACTION:
+                table = nouns if concept.kind == ENTITY else actions
+                # A word with several such readings names the alphabetically first.
+                if word not in table or concept.name < table[word]:
+                    table[word] = concept.name
+        set_slot = object.__setattr__
+        set_slot(self, "_readings", readings)
+        set_slot(self, "_nouns", nouns)
+        set_slot(self, "_actions", actions)
+        set_slot(self, "_forms", {c: frozenset(words) for c, words in forms.items()})
+        set_slot(self, "_verbs", tuple(sorted(self.form_words(PAST_PARTICIPLE_CONCEPT) & actions.keys())))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # Copies and pickles rebuild the index from the entries rather than
+        # restoring the slots one by one, which `__setattr__` forbids.
+        return (type(self), (tuple(self),))
+
+    def readings(self, word: str) -> tuple[LexEntry, ...]:
+        """Every entry of this word; empty for unknown words."""
+        return self._readings.get(word, ())
+
+    @property
+    def nouns(self) -> Mapping[str, str]:
+        """Word -> entity concept name, for words with an entity content reading."""
+        return MappingProxyType(self._nouns)
+
+    @property
+    def actions(self) -> Mapping[str, str]:
+        """Word -> action concept name, for words with an action content reading."""
+        return MappingProxyType(self._actions)
+
+    def form_words(self, concept: Concept) -> frozenset[str]:
+        """Words with a grammatical-form reading of this concept."""
+        return self._forms.get(concept, frozenset())
+
+    @property
+    def verbs(self) -> tuple[str, ...]:
+        """Sorted words carrying both an action content reading and a
+        past-participle form reading."""
+        return self._verbs
+
+    @property
+    def has_forms(self) -> bool:
+        """True iff some entry is a grammatical form, not a content word."""
+        return bool(self._forms)
+
+
+def as_lexicon(entries: Iterable[LexEntry]) -> Lexicon:
+    """The entries as an indexed `Lexicon`; a `Lexicon` is returned as is."""
+    return entries if isinstance(entries, Lexicon) else Lexicon(entries)
+
+
 @dataclass(frozen=True)
 class LearnerProfile:
-    """A learner's second-language knowledge plus processing parameters."""
+    """A learner's second-language knowledge plus processing parameters.
+
+    Any collection of entries given as `lexicon` is stored as a `Lexicon`.
+    """
 
     name: str
-    lexicon: frozenset[LexEntry]
+    lexicon: Lexicon
     capacity: int
     n: int = 2
+
+    def __post_init__(self):
+        object.__setattr__(self, "lexicon", as_lexicon(self.lexicon))
 
 
 def _descendants_or_self(category: str) -> frozenset[str]:
@@ -138,8 +231,13 @@ _FILE_CATEGORIES = {
 }
 
 
-def parse_lexicon(text: str) -> frozenset[LexEntry]:
-    """Parse lexicon rows `word<TAB>category<TAB>kind:name`; '#' starts a comment."""
+def parse_lexicon(text: str, kb: KnowledgeBase | None = None) -> Lexicon:
+    """Parse lexicon rows `word<TAB>category<TAB>kind:name`; '#' starts a comment.
+
+    Given the knowledge base the lexicon is used with, also reject a row whose
+    entity concept the world does not declare or whose action concept is
+    outside the built-in action theory.
+    """
     entries: set[LexEntry] = set()
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.rstrip("\n")
@@ -148,8 +246,8 @@ def parse_lexicon(text: str) -> frozenset[LexEntry]:
         fields = line.split("\t")
         if len(fields) != 3:
             raise ParseError(f"expected 3 tab-separated fields, got {len(fields)}", lineno)
-        word, raw_category, raw_concept = (f.strip() for f in fields)
-        if not word or any(ch.isspace() for ch in word):
+        word, raw_category, raw_concept = map(str.strip, fields)
+        if not word or any(map(str.isspace, word)):
             raise ParseError(f"bad word {word!r}", lineno)
         if raw_category not in _FILE_CATEGORIES:
             raise UnknownCategory(f"unknown category {raw_category!r}", lineno)
@@ -161,37 +259,43 @@ def parse_lexicon(text: str) -> frozenset[LexEntry]:
             raise ParseError(f"content word {word!r} cannot carry a {kind} concept", lineno)
         if category != CONTENT_WORDS and kind != SEMANTIC:
             raise ParseError(f"form {word!r} must carry a sem concept, not {kind}", lineno)
-        entry = LexEntry(word.lower(), category, Concept(kind, name))
-        if entry in entries:
+        if kb is not None:
+            if kind == ENTITY and name not in kb.entity_names():
+                raise ParseError(f"entity {name!r} of {word!r} is not declared in the world", lineno)
+            if kind == ACTION and name not in ACTIONS:
+                raise ParseError(f"action {name!r} of {word!r} is not one of {ACTIONS}", lineno)
+        count = len(entries)
+        entries.add(LexEntry(word.lower(), category, Concept(kind, name)))
+        if len(entries) == count:
             raise DuplicateEntry(f"duplicate entry for {word!r}", lineno)
-        entries.add(entry)
-    return frozenset(entries)
+    return Lexicon(entries)
 
 
-def load_lexicon(path: str | Path) -> frozenset[LexEntry]:
+def load_lexicon(path: str | Path) -> Lexicon:
     """Load a lexicon TSV file."""
-    return parse_lexicon(Path(path).read_text(encoding="utf-8"))
+    return parse_lexicon(read_text(path))
 
 
-def default_lexicon() -> frozenset[LexEntry]:
-    """The vocabulary shipped with the package."""
+def default_lexicon(kb: KnowledgeBase | None = None) -> Lexicon:
+    """The vocabulary shipped with the package, checked against `kb` as
+    `parse_lexicon` does."""
     source = resources.files("inputproc.data").joinpath("lexicon.tsv")
-    return parse_lexicon(source.read_text(encoding="utf-8"))
+    return parse_lexicon(source.read_text(encoding="utf-8"), kb)
 
 
 # --- learner profiles -----------------------------------------------------------
 
 def entries_for(word: str, profile: LearnerProfile) -> frozenset[LexEntry]:
     """All of the learner's readings of a word; empty for unknown words."""
-    return frozenset(e for e in profile.lexicon if e.word == word)
+    return frozenset(profile.lexicon.readings(word))
 
 
-def beginner_profile(lexicon: frozenset[LexEntry], capacity: int = 11, n: int = 2) -> LearnerProfile:
+def beginner_profile(lexicon: Iterable[LexEntry], capacity: int = 11, n: int = 2) -> LearnerProfile:
     """A learner who has internalized content words only."""
-    content = frozenset(e for e in lexicon if e.category == CONTENT_WORDS)
+    content = Lexicon(e for e in lexicon if e.category == CONTENT_WORDS)
     return LearnerProfile("beginner", content, capacity, n)
 
 
-def advanced_profile(lexicon: frozenset[LexEntry], capacity: int = 11, n: int = 2) -> LearnerProfile:
+def advanced_profile(lexicon: Iterable[LexEntry], capacity: int = 11, n: int = 2) -> LearnerProfile:
     """A learner who has internalized every word and form in the vocabulary."""
-    return LearnerProfile("advanced", frozenset(lexicon), capacity, n)
+    return LearnerProfile("advanced", lexicon, capacity, n)

@@ -16,22 +16,15 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import NoInterpretation
-from .lexicon import (
-    ACTION,
-    CONTENT_WORDS,
-    ENTITY,
-    LexEntry,
-    advanced_profile,
-)
+from .lexicon import LexEntry, advanced_profile, as_lexicon
+from .principle1 import enumerate_p1_models
 from .principle2 import (
     GRM_CUES,
-    PAST_PARTICIPLE_CONCEPT,
     correct_meaning,
     dir_rev_m,
     extract_fnp,
     voice_of,
 )
-from .principle1 import enumerate_p1_models
 from .text import ParagraphEncoding, SentenceEncoding, encode_text
 from .world import EventTerm, KnowledgeBase, WorldState, apply_effects, fresh_state
 
@@ -70,8 +63,8 @@ def check_sentence(s: SentenceEncoding, kb: KnowledgeBase, state: WorldState,
                    lexicon: frozenset[LexEntry]) -> ValuableVerdict:
     """Compare the First-Noun-Principle reading against the grammatical-cue
     reading of one sentence in the given story state."""
-    voice = voice_of(s, lexicon)
     profile = advanced_profile(lexicon, CHECK_CAPACITY, CHECK_POSITION_WINDOW)
+    voice = voice_of(s, profile.lexicon)
     model = enumerate_p1_models(s, profile)[0]
     try:
         dr = dir_rev_m(model, s)
@@ -92,6 +85,7 @@ def check_paragraph(p: ParagraphEncoding, kb: KnowledgeBase,
     story as the instructor intends it. The paragraph as a whole is valuable
     iff any sentence verdict is.
     """
+    lexicon = as_lexicon(lexicon)
     state = fresh_state(kb)
     verdicts = []
     for s in p.sentences:
@@ -108,31 +102,14 @@ def paragraph_valuable(verdicts: tuple[ValuableVerdict, ...]) -> bool:
     return any(v.valuable for v in verdicts)
 
 
-def _noun_words(lexicon: frozenset[LexEntry]) -> dict[str, str]:
-    """Noun word -> entity concept name."""
-    return {
-        e.word: e.concept.name
-        for e in lexicon
-        if e.category == CONTENT_WORDS and e.concept.kind == ENTITY
-    }
-
-
-def _verb_words(lexicon: frozenset[LexEntry]) -> list[str]:
-    """Words carrying both an action content reading and a past-participle
-    form reading."""
-    actions = {e.word for e in lexicon if e.category == CONTENT_WORDS and e.concept.kind == ACTION}
-    participles = {e.word for e in lexicon if e.concept == PAST_PARTICIPLE_CONCEPT}
-    return sorted(actions & participles)
-
-
 def schemas(lexicon: frozenset[LexEntry]) -> tuple[Schema, ...]:
     """Every schema instantiation over the vocabulary, noun pairs with
     distinct referents only, in lexicographic order."""
-    nouns = _noun_words(lexicon)
-    verbs = _verb_words(lexicon)
+    lexicon = as_lexicon(lexicon)
+    nouns = lexicon.nouns
     return tuple(
         Schema(n1, v, n2)
-        for n1, v, n2 in product(sorted(nouns), verbs, sorted(nouns))
+        for n1, v, n2 in product(sorted(nouns), lexicon.verbs, sorted(nouns))
         if nouns[n1] != nouns[n2]
     )
 
@@ -140,6 +117,7 @@ def schemas(lexicon: frozenset[LexEntry]) -> tuple[Schema, ...]:
 def generate_valuable(kb: KnowledgeBase,
                       lexicon: frozenset[LexEntry]) -> tuple[tuple[str, ValuableVerdict], ...]:
     """Render and check every schema sentence, keeping the valuable ones."""
+    lexicon = as_lexicon(lexicon)
     out = []
     for schema in schemas(lexicon):
         text = schema.render()

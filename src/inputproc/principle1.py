@@ -72,8 +72,7 @@ def atom_sort_key(atom: MapAtom) -> tuple:
 
 
 def _in_pair(k: int, category: str, s: SentenceEncoding, profile: LearnerProfile) -> bool:
-    word = s.word_at(k)
-    return any(e.category == category for e in entries_for(word, profile))
+    return any(e.category == category for e in profile.lexicon.readings(s.word_at(k)))
 
 
 def ml_wrd(k1: int, c1: str, k2: int, c2: str,

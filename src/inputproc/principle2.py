@@ -15,17 +15,18 @@ wrong, updates the story state the next sentence is judged against.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 
 from .errors import NoInterpretation, UnrecognizedTemplate
 from .lexicon import (
     ACTION,
-    CONTENT_WORDS,
     ENTITY,
-    SEMANTIC,
-    Concept,
+    PASSIVE_VOICE_CONCEPT,
+    PAST_PARTICIPLE_CONCEPT,
     LearnerProfile,
     LexEntry,
+    as_lexicon,
 )
 from .principle1 import P1Model, enumerate_p1_models
 from .text import ParagraphEncoding, SentenceEncoding
@@ -49,9 +50,6 @@ EVENT_PROB_2B = "event_prob_2b"
 PRIOR_KNOWLEDGE_2D = "prior_knowledge_2d"
 GRM_CUES = "grm_cues"
 STRATEGIES = (FNP_DEFAULT, LEX_SEM_2A, EVENT_PROB_2B, PRIOR_KNOWLEDGE_2D, GRM_CUES)
-
-PASSIVE_VOICE_CONCEPT = Concept(SEMANTIC, "passive_voice")
-PAST_PARTICIPLE_CONCEPT = Concept(SEMANTIC, "past_participle")
 
 
 def strategy_family(strategy: str) -> str:
@@ -109,46 +107,23 @@ def dir_rev_m(model: P1Model, s: SentenceEncoding) -> DirRev:
     return DirRev(direct, direct.reversed())
 
 
-def _concept_indices(s: SentenceEncoding, lexicon: frozenset[LexEntry],
-                     kind: str, name: str | None = None) -> list[int]:
-    by_word: dict[str, bool] = {}
-    for entry in lexicon:
-        if entry.concept.kind == kind and (name is None or entry.concept.name == name):
-            if kind in (ENTITY, ACTION) and entry.category != CONTENT_WORDS:
-                continue
-            by_word[entry.word] = True
-    return [k for k in range(1, len(s) + 1) if s.word_at(k) in by_word]
+def _indices(s: SentenceEncoding, words: Container[str]) -> list[int]:
+    return [k for k in range(1, len(s) + 1) if s.word_at(k) in words]
 
 
 def surface_dir_rev(s: SentenceEncoding, full_lexicon: frozenset[LexEntry]) -> DirRev:
     """The two readings a sentence supports on its surface, judged against the
     whole vocabulary rather than one learner's slice of it."""
-    entity_ks = _concept_indices(s, full_lexicon, ENTITY)
-    action_ks = _concept_indices(s, full_lexicon, ACTION)
+    lexicon = as_lexicon(full_lexicon)
+    entity_ks = _indices(s, lexicon.nouns)
+    action_ks = _indices(s, lexicon.actions)
     if len(entity_ks) < 2 or not action_ks:
         raise UnrecognizedTemplate(
             f"{s.id}: need two nouns and a verb, found {len(entity_ks)} and {len(action_ks)}"
         )
-
-    def entity_name(k: int) -> str:
-        word = s.word_at(k)
-        names = sorted(
-            e.concept.name
-            for e in full_lexicon
-            if e.word == word and e.category == CONTENT_WORDS and e.concept.kind == ENTITY
-        )
-        return names[0]
-
-    def action_name(k: int) -> str:
-        word = s.word_at(k)
-        names = sorted(
-            e.concept.name
-            for e in full_lexicon
-            if e.word == word and e.category == CONTENT_WORDS and e.concept.kind == ACTION
-        )
-        return names[0]
-
-    direct = EventTerm(action_name(action_ks[0]), entity_name(entity_ks[0]), entity_name(entity_ks[1]))
+    nouns, actions = lexicon.nouns, lexicon.actions
+    direct = EventTerm(actions[s.word_at(action_ks[0])],
+                       nouns[s.word_at(entity_ks[0])], nouns[s.word_at(entity_ks[1])])
     return DirRev(direct, direct.reversed())
 
 
@@ -159,12 +134,13 @@ def voice_of(s: SentenceEncoding, full_lexicon: frozenset[LexEntry]) -> str:
     them. It is passive when a passive-voice auxiliary precedes a past
     participle, active otherwise.
     """
-    entity_ks = _concept_indices(s, full_lexicon, ENTITY)
-    action_ks = _concept_indices(s, full_lexicon, ACTION)
+    lexicon = as_lexicon(full_lexicon)
+    entity_ks = _indices(s, lexicon.nouns)
+    action_ks = _indices(s, lexicon.actions)
     if len(entity_ks) < 2 or not action_ks or not entity_ks[0] < action_ks[0] < entity_ks[1]:
         raise UnrecognizedTemplate(f"{s.id}: not an active-transitive or passive sentence")
-    auxiliaries = _concept_indices(s, full_lexicon, SEMANTIC, PASSIVE_VOICE_CONCEPT.name)
-    participles = _concept_indices(s, full_lexicon, SEMANTIC, PAST_PARTICIPLE_CONCEPT.name)
+    auxiliaries = _indices(s, lexicon.form_words(PASSIVE_VOICE_CONCEPT))
+    participles = _indices(s, lexicon.form_words(PAST_PARTICIPLE_CONCEPT))
     if any(i < j for i in auxiliaries for j in participles):
         return PASSIVE
     return ACTIVE
@@ -186,7 +162,7 @@ def grm_cues_available(model: P1Model, s: SentenceEncoding, voice: str,
     if voice == PASSIVE:
         concepts = {a.concept for a in model.atoms}
         return PASSIVE_VOICE_CONCEPT in concepts and PAST_PARTICIPLE_CONCEPT in concepts
-    return any(e.category != CONTENT_WORDS for e in profile.lexicon)
+    return profile.lexicon.has_forms
 
 
 def extract_fnp(dr: DirRev, state: WorldState, kb: KnowledgeBase) -> tuple[EventTerm, str]:
@@ -234,6 +210,7 @@ def interpret_paragraph(p: ParagraphEncoding, profile: LearnerProfile,
     is judged against; sentences too sparse to interpret are recorded with a
     None event and advance the step without effects.
     """
+    full_lexicon = as_lexicon(full_lexicon)
     state = fresh_state(kb)
     results: list[ExtractedMeaning] = []
     for step, s in enumerate(p.sentences, 1):

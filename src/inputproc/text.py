@@ -9,8 +9,9 @@ last n words).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
-from .errors import EmptySentence, EmptyText, IndexOutOfRange
+from .errors import EmptySentence, EmptyText, IndexOutOfRange, ParseError
 
 SENTENCE_DELIMITERS = ".!?"
 TOKEN_PUNCTUATION = ",.!?;:"
@@ -101,3 +102,12 @@ def position_of(k: int, sentence: SentenceEncoding, n: int = 2) -> str:
     if k > length - n:
         return FINAL
     return MEDIAL
+
+
+def read_text(path: str | Path) -> str:
+    """The contents of a UTF-8 input file; other bytes raise `ParseError`
+    naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None

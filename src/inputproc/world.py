@@ -14,6 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ParseError, UnknownAction, UnknownEntity
+from .text import read_text
 
 ANIMATE = "animate"
 HUMAN = "human"
@@ -69,18 +70,20 @@ class WorldState:
     alive: frozenset[str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnowledgeBase:
-    """Immutable-after-load collection of entities, unlikelihood patterns,
-    and known-to-have-happened events."""
+    """Immutable collection of entities, unlikelihood patterns, and
+    known-to-have-happened events."""
 
     entities: tuple[EntityDef, ...]
     unlikely_rules: tuple[UnlikelyRule, ...]
     happened: frozenset[EventTerm]
-    _by_name: dict[str, EntityDef] = field(init=False, repr=False)
+    _by_name: dict[str, EntityDef] = field(init=False, repr=False, compare=False)
+    _names: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._by_name = {e.name: e for e in self.entities}
+        object.__setattr__(self, "_by_name", {e.name: e for e in self.entities})
+        object.__setattr__(self, "_names", frozenset(self._by_name))
 
     def entity(self, name: str) -> EntityDef:
         try:
@@ -89,7 +92,7 @@ class KnowledgeBase:
             raise UnknownEntity(f"entity {name!r} is not declared") from None
 
     def entity_names(self) -> frozenset[str]:
-        return frozenset(self._by_name)
+        return self._names
 
     def has_property(self, name: str, prop: str) -> bool:
         return prop in self.entity(name).properties
@@ -155,7 +158,10 @@ def apply_effects(state: WorldState, ev: EventTerm, kb: KnowledgeBase) -> WorldS
 
 def parse_world(text: str) -> KnowledgeBase:
     """Parse entity/unlikely/hpd records; '#' starts a comment."""
-    entities: list[EntityDef] = []
+    entities: dict[str, EntityDef] = {}
+    # Entities with equal properties share one frozenset, which keeps a large
+    # world's memory to its names rather than one set per entity.
+    prop_sets: dict[frozenset[str], frozenset[str]] = {}
     rules: list[UnlikelyRule] = []
     happened: list[EventTerm] = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -170,9 +176,9 @@ def parse_world(text: str) -> KnowledgeBase:
             bad = props - set(ENTITY_PROPERTIES)
             if bad:
                 raise ParseError(f"unknown entity properties {sorted(bad)}", lineno)
-            if any(e.name == fields[1] for e in entities):
+            if fields[1] in entities:
                 raise ParseError(f"entity {fields[1]!r} declared twice", lineno)
-            entities.append(EntityDef(fields[1], props))
+            entities[fields[1]] = EntityDef(fields[1], prop_sets.setdefault(props, props))
         elif kind == "unlikely":
             if len(fields) != 4:
                 raise ParseError("unlikely record takes action, agent prop, patient prop", lineno)
@@ -192,7 +198,7 @@ def parse_world(text: str) -> KnowledgeBase:
             happened.append(EventTerm(action, agent, patient))
         else:
             raise ParseError(f"unknown record type {kind!r}", lineno)
-    kb = KnowledgeBase(tuple(entities), tuple(rules), frozenset(happened))
+    kb = KnowledgeBase(tuple(entities.values()), tuple(rules), frozenset(happened))
     for ev in kb.happened:
         kb.entity(ev.agent)
         kb.entity(ev.patient)
@@ -201,7 +207,7 @@ def parse_world(text: str) -> KnowledgeBase:
 
 def load_world(path: str | Path) -> KnowledgeBase:
     """Load a world TSV file."""
-    return parse_world(Path(path).read_text(encoding="utf-8"))
+    return parse_world(read_text(path))
 
 
 def default_world() -> KnowledgeBase:

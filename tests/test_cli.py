@@ -205,3 +205,33 @@ def test_custom_lexicon_and_world_files(capsys, text_file, tmp_path):
     assert code == 0
     assert out.splitlines()[0] == "extr_m(ev(bite, fox, hen), s1)"
     assert "correct(s1, yes)" in out
+
+
+def test_lexicon_noun_missing_from_the_world_is_a_parse_error(capsys, text_file, tmp_path):
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text(
+        "fox\tcontent\tentity:fox\n"
+        "owl\tcontent\tentity:owl\n"
+        "nipped\tcontent\taction:bite\n",
+        encoding="utf-8",
+    )
+    world = tmp_path / "world.tsv"
+    world.write_text("entity\tfox\tanimate\n", encoding="utf-8")
+    path = text_file("the fox nipped the owl.")
+    for command in ("interpret", "check"):
+        code, out, err = run(capsys, command, "--text", path,
+                             "--lexicon", str(lexicon), "--world", str(world))
+        assert code == 2 and out == ""
+        assert err == "inputproc: error: line 2: entity 'owl' of 'owl' is not declared in the world\n"
+
+
+@pytest.mark.parametrize("flag", ["--text", "--lexicon", "--world"])
+def test_non_utf8_input_file_is_a_parse_error(capsys, text_file, tmp_path, flag):
+    files = {"--text": text_file(SINGLE_SENTENCES["cat_bitten"])}
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("Le chat a été mordu.".encode("latin-1"))
+    files[flag] = str(bad)
+    argv = [arg for pair in files.items() for arg in pair]
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2 and out == ""
+    assert err == f"inputproc: error: {bad}: not UTF-8 text (byte 10)\n"

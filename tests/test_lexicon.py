@@ -18,6 +18,8 @@ from inputproc import (
     UnknownCategory,
     advanced_profile,
     beginner_profile,
+    default_lexicon,
+    default_world,
     entries_for,
     is_ml_ctg_closed,
     is_ml_pos_closed,
@@ -78,6 +80,22 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_lexicon("cat\tcontent\tentity:cat\nbad row")
     assert err.value.line == 2
+
+
+def test_shipped_lexicon_agrees_with_the_shipped_world(lexicon):
+    assert default_lexicon(default_world()) == lexicon
+
+
+@pytest.mark.parametrize("row, message", [
+    ("fox\tcontent\tentity:fox", "entity 'fox' of 'fox' is not declared in the world"),
+    ("flew\tcontent\taction:fly", "action 'fly' of 'flew' is not one of ('bite', 'push', 'kill')"),
+])
+def test_concepts_are_checked_against_the_world(kb, row, message):
+    with pytest.raises(ParseError) as err:
+        parse_lexicon(f"cat\tcontent\tentity:cat\n{row}", kb)
+    assert err.value.line == 2
+    assert str(err.value) == f"line 2: {message}"
+    assert len(parse_lexicon(row)) == 1
 
 
 def test_leaf_category_order_is_exactly_the_expected_chain():

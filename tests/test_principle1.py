@@ -5,6 +5,7 @@ from inputproc import (
     R_M_FORMS,
     Concept,
     MapAtom,
+    P1Model,
     advanced_profile,
     beginner_profile,
     candidate_meanings,
@@ -196,3 +197,11 @@ def test_models_match_bruteforce_enumeration(cat_bitten, lexicon):
         expected = brute_force_models(list(cat_bitten.tokens), content_entries, cap)
         actual = {model_key(m) for m in enumerate_p1_models(cat_bitten, beginner_profile(lexicon, cap))}
         assert actual == expected
+
+
+def test_canonical_model_is_the_deterministic_mapping(grammar, lexicon):
+    for s in grammar:
+        for make in (advanced_profile, beginner_profile):
+            for capacity in range(12):
+                profile = make(lexicon, capacity)
+                assert enumerate_p1_models(s, profile)[0] == P1Model(deterministic_maps(s, profile), frozenset())

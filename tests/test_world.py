@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
@@ -153,3 +154,12 @@ def test_predicates_are_pure(kb):
     assert impossible(ev, state, kb) == impossible(ev, state, kb)
     assert unlikely(ev, state, kb) == unlikely(ev, state, kb)
     assert hpd(ev, kb) == hpd(ev, kb)
+
+
+def test_knowledge_base_is_frozen_and_shares_what_it_can(kb):
+    with pytest.raises(FrozenInstanceError):
+        kb.entities = ()
+    assert kb.entity_names() is kb.entity_names()
+    assert fresh_state(kb).alive is kb.entity_names()
+    assert kb.entity("cat").properties is kb.entity("dog").properties
+    assert parse_world("entity\tcat\tanimate") == parse_world("entity\tcat\tanimate")
