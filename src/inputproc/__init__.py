@@ -41,9 +41,7 @@ from .principle1 import (
     candidate_meanings,
     deterministic_maps,
     enumerate_p1_models,
-    ml_wrd,
     overhead,
-    rank_of,
     skippable,
 )
 from .principle2 import (

@@ -45,7 +45,7 @@ from .principle2 import (
 )
 from .pias import ValuableVerdict, check_paragraph, generate_valuable, paragraph_valuable
 from .text import ParagraphEncoding, encode_text, read_text
-from .world import KnowledgeBase, default_world, load_world
+from .world import KnowledgeBase, default_world, parse_world
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -216,6 +216,16 @@ def cmd_generate(cfg: RunConfig, lexicon: frozenset[LexEntry], kb: KnowledgeBase
 
 # --- entry point -----------------------------------------------------------------
 
+def _parse_file(path: str, parse, *args):
+    """Parse an input file; a row error names the file, as a non-UTF-8 one does."""
+    try:
+        return parse(read_text(path), *args)
+    except ParseError as exc:
+        if exc.line is None:
+            raise
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -233,9 +243,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     try:
-        kb = load_world(cfg.world_path) if cfg.world_path else default_world()
+        kb = _parse_file(cfg.world_path, parse_world) if cfg.world_path else default_world()
         if cfg.lexicon_path:
-            lexicon = parse_lexicon(read_text(cfg.lexicon_path), kb)
+            lexicon = _parse_file(cfg.lexicon_path, parse_lexicon, kb)
         else:
             lexicon = default_lexicon(kb)
         paragraph = None

@@ -45,7 +45,7 @@ class UnknownEntity(InputProcError):
     """Event or record references an entity the knowledge base never declared."""
 
 
-class UnknownAction(InputProcError):
+class UnknownAction(ParseError):
     """Event references an action outside the built-in action theory."""
 
 

@@ -178,36 +178,22 @@ def _descendants_or_self(category: str) -> frozenset[str]:
     return frozenset(out)
 
 
-def _close_category_order() -> frozenset[tuple[str, str]]:
-    base = ((CONTENT_WORDS, FORMS), (M_FORMS, NM_FORMS), (NR_M_FORMS, R_M_FORMS))
-    pairs = {
-        (a, b)
-        for hi, lo in base
-        for a in _descendants_or_self(hi)
-        for b in _descendants_or_self(lo)
-    }
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(pairs):
-            for c, d in list(pairs):
-                if b == c and (a, d) not in pairs:
-                    pairs.add((a, d))
-                    changed = True
-    return frozenset(pairs)
+def _transitive_closure(pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
+    closed = set(pairs)
+    while True:
+        implied = {(a, d) for a, b in closed for c, d in closed if b == c} - closed
+        if not implied:
+            return frozenset(closed)
+        closed |= implied
 
 
-def _close_position_order() -> frozenset[tuple[str, str]]:
-    pairs = {(INITIAL, FINAL), (FINAL, MEDIAL)}
-    for a, b in list(pairs):
-        for c, d in list(pairs):
-            if b == c:
-                pairs.add((a, d))
-    return frozenset(pairs)
-
-
-_ML_CTG = _close_category_order()
-_ML_POS = _close_position_order()
+_ML_CTG = _transitive_closure(
+    (a, b)
+    for hi, lo in ((CONTENT_WORDS, FORMS), (M_FORMS, NM_FORMS), (NR_M_FORMS, R_M_FORMS))
+    for a in _descendants_or_self(hi)
+    for b in _descendants_or_self(lo)
+)
+_ML_POS = _transitive_closure({(INITIAL, FINAL), (FINAL, MEDIAL)})
 
 
 def is_ml_ctg_closed(c1: str, c2: str) -> bool:

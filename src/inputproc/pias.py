@@ -91,10 +91,7 @@ def check_paragraph(p: ParagraphEncoding, kb: KnowledgeBase,
     for s in p.sentences:
         verdict = check_sentence(s, kb, state, lexicon)
         verdicts.append(verdict)
-        if verdict.cue_event is None:
-            state = WorldState(state.step + 1, state.alive)
-        else:
-            state = apply_effects(state, verdict.cue_event, kb)
+        state = apply_effects(state, verdict.cue_event, kb)
     return tuple(verdicts)
 
 

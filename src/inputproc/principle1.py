@@ -3,24 +3,29 @@
 Every (word index, leaf category, concept) triple the learner's lexicon
 supports is a candidate meaning. Candidates are strictly partially ordered by
 processing likelihood: a higher leaf category always wins, and within one
-category an earlier-ranked sentence position wins. A candidate is processed
-when the number of strictly-more-likely candidate triples, plus a one-unit
-sentence-level surcharge for redundant-meaningful and nonmeaningful forms,
-stays below the learner's resource capacity.
+category an earlier-ranked sentence position wins. The order is one key per
+candidate, (category rank, position rank), where a smaller key is strictly
+more likely and equal keys tie. A candidate consumes one resource unit per
+candidate with a strictly smaller key, and is processed when that count, plus
+a one-unit sentence-level surcharge for redundant-meaningful and nonmeaningful
+forms, stays below the learner's resource capacity.
 
 One gated candidate set usually yields a single interpretation. The exception
 is lexical preference: a form whose concept was already extracted from a
 strictly-more-likely word of a different surface may or may not be processed,
-so each subset of such atoms spawns one interpretation.
+so each subset of such atoms spawns one interpretation, as long as every atom
+it leaves out still has its concept extracted by an atom it keeps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
 from .lexicon import (
     CONTENT_WORDS,
+    LEAF_CATEGORIES,
     NM_FORMS,
     R_M_FORMS,
     Concept,
@@ -29,9 +34,7 @@ from .lexicon import (
     is_ml_ctg_closed,
     is_ml_pos_closed,
 )
-from .text import SentenceEncoding, position_of
-
-Candidate = tuple[int, str, Concept]
+from .text import POSITIONS, SentenceEncoding, position_of
 
 
 @dataclass(frozen=True)
@@ -71,47 +74,16 @@ def atom_sort_key(atom: MapAtom) -> tuple:
     return (atom.k, atom.category, atom.concept.kind, atom.concept.name)
 
 
-def _in_pair(k: int, category: str, s: SentenceEncoding, profile: LearnerProfile) -> bool:
-    return any(e.category == category for e in profile.lexicon.readings(s.word_at(k)))
+# Both orders are strict and total, so a rank, the number of items strictly
+# more likely than this one, sorts exactly as the order does.
+_CATEGORY_RANK = {c: sum(is_ml_ctg_closed(d, c) for d in LEAF_CATEGORIES) for c in LEAF_CATEGORIES}
+_POSITION_RANK = {p: sum(is_ml_pos_closed(q, p) for q in POSITIONS) for p in POSITIONS}
 
 
-def ml_wrd(k1: int, c1: str, k2: int, c2: str,
-           s: SentenceEncoding, profile: LearnerProfile) -> bool:
-    """True iff the k1-th word read under category c1 is strictly more likely
-    to be processed than the k2-th word read under c2.
-
-    Both readings must be available to the learner. Categories dominate;
-    sentence position only breaks ties within one category.
-    """
-    if not (_in_pair(k1, c1, s, profile) and _in_pair(k2, c2, s, profile)):
-        return False
-    if is_ml_ctg_closed(c1, c2):
-        return True
-    return c1 == c2 and is_ml_pos_closed(
-        position_of(k1, s, profile.n), position_of(k2, s, profile.n)
-    )
-
-
-def _candidates(s: SentenceEncoding, profile: LearnerProfile) -> list[Candidate]:
-    out = []
-    for k in range(1, len(s) + 1):
-        for entry in entries_for(s.word_at(k), profile):
-            out.append((k, entry.category, entry.concept))
-    return sorted(out, key=lambda c: (c[0], c[1], c[2].kind, c[2].name))
-
-
-def _beats(a: Candidate, b: Candidate, s: SentenceEncoding, n: int) -> bool:
-    # Candidates come from the profile lexicon, so the in-pair check of
-    # ml_wrd is already satisfied.
-    if is_ml_ctg_closed(a[1], b[1]):
-        return True
-    return a[1] == b[1] and is_ml_pos_closed(position_of(a[0], s, n), position_of(b[0], s, n))
-
-
-def rank_of(candidate: Candidate, s: SentenceEncoding, profile: LearnerProfile) -> int:
-    """Number of candidate meaning triples of the same sentence strictly more
-    likely than this one. Ties consume nothing against each other."""
-    return sum(1 for other in _candidates(s, profile) if _beats(other, candidate, s, profile.n))
+def _likelihood_key(k: int, category: str, s: SentenceEncoding, n: int) -> tuple[int, int]:
+    # Candidate a is strictly more likely than b iff key(a) < key(b); equal
+    # keys tie. Categories dominate; position only breaks ties within one.
+    return _CATEGORY_RANK[category], _POSITION_RANK[position_of(k, s, n)]
 
 
 def overhead(category: str) -> int:
@@ -122,10 +94,16 @@ def overhead(category: str) -> int:
 
 def candidate_meanings(s: SentenceEncoding, profile: LearnerProfile) -> tuple[CandidateMeaning, ...]:
     """All candidate triples with ranks and gate verdicts, in canonical order."""
-    cands = _candidates(s, profile)
+    cands = sorted(
+        ((k, e.category, e.concept) for k in range(1, len(s) + 1)
+         for e in entries_for(s.word_at(k), profile)),
+        key=lambda c: (c[0], c[1], c[2].kind, c[2].name),
+    )
+    keys = [_likelihood_key(k, category, s, profile.n) for k, category, _ in cands]
+    ordered = sorted(keys)
     out = []
-    for k, category, concept in cands:
-        consumed = sum(1 for other in cands if _beats(other, (k, category, concept), s, profile.n))
+    for (k, category, concept), key in zip(cands, keys):
+        consumed = bisect_left(ordered, key)
         gated = consumed + overhead(category) < profile.capacity
         out.append(CandidateMeaning(k, category, concept, consumed, gated))
     return tuple(out)
@@ -141,26 +119,25 @@ def deterministic_maps(s: SentenceEncoding, profile: LearnerProfile) -> frozense
     )
 
 
+def _delivered(atom: MapAtom, others: frozenset[MapAtom], s: SentenceEncoding, n: int) -> bool:
+    # True iff a strictly-more-likely atom of `others`, on a different word
+    # surface, delivers the atom's concept.
+    surface, key = s.word_at(atom.k), _likelihood_key(atom.k, atom.category, s, n)
+    return any(o.concept == atom.concept and s.word_at(o.k) != surface
+               and _likelihood_key(o.k, o.category, s, n) < key for o in others)
+
+
 def skippable(atoms: frozenset[MapAtom], s: SentenceEncoding,
               profile: LearnerProfile) -> frozenset[MapAtom]:
     """Form atoms whose concept a strictly-more-likely atom of a different
     word surface already delivers; these may or may not be processed."""
-    out = set()
-    for atom in atoms:
-        if atom.category == CONTENT_WORDS:
-            continue
-        surface = s.word_at(atom.k)
-        for other in atoms:
-            if (other.concept == atom.concept
-                    and s.word_at(other.k) != surface
-                    and ml_wrd(other.k, other.category, atom.k, atom.category, s, profile)):
-                out.add(atom)
-                break
-    return frozenset(out)
+    return frozenset(a for a in atoms
+                     if a.category != CONTENT_WORDS and _delivered(a, atoms, s, profile.n))
 
 
 def enumerate_p1_models(s: SentenceEncoding, profile: LearnerProfile) -> tuple[P1Model, ...]:
-    """All interpretations of a sentence: one per subset of skippable atoms,
+    """All interpretations of a sentence: one per subset of skippable atoms
+    whose every member's concept a kept, more likely atom still delivers,
     ordered lexicographically on the skipped set (the no-skip interpretation
     comes first and is the canonical one)."""
     determined = deterministic_maps(s, profile)
@@ -168,6 +145,8 @@ def enumerate_p1_models(s: SentenceEncoding, profile: LearnerProfile) -> tuple[P
     models = []
     for size in range(len(optional) + 1):
         for dropped in combinations(optional, size):
-            models.append(P1Model(determined - set(dropped), frozenset(dropped)))
+            kept = determined - set(dropped)
+            if all(_delivered(a, kept, s, profile.n) for a in dropped):
+                models.append(P1Model(kept, frozenset(dropped)))
     models.sort(key=lambda m: tuple(atom_sort_key(a) for a in sorted(m.skipped, key=atom_sort_key)))
     return tuple(models)

@@ -218,8 +218,5 @@ def interpret_paragraph(p: ParagraphEncoding, profile: LearnerProfile,
         model = enumerate_p1_models(s, profile)[0]
         event, strategy = extract_with_model(model, s, voice, profile, state, kb)
         results.append(ExtractedMeaning(s.id, event, strategy, step))
-        if event is None:
-            state = WorldState(state.step + 1, state.alive)
-        else:
-            state = apply_effects(state, event, kb)
+        state = apply_effects(state, event, kb)
     return tuple(results)

@@ -142,15 +142,17 @@ def hpd(ev: EventTerm, kb: KnowledgeBase) -> bool:
     return ev in kb.happened
 
 
-def apply_effects(state: WorldState, ev: EventTerm, kb: KnowledgeBase) -> WorldState:
-    """Advance one story step, applying the event's direct effects.
+def apply_effects(state: WorldState, ev: EventTerm | None, kb: KnowledgeBase) -> WorldState:
+    """Advance one story step, applying the event's direct effects; with no
+    event the step advances without effects.
 
     Effects apply even to events the learner wrongly believes occurred.
     """
-    _validate_event(ev, kb)
     alive = state.alive
-    if ev.action == KILL:
-        alive = alive - {ev.patient}
+    if ev is not None:
+        _validate_event(ev, kb)
+        if ev.action == KILL:
+            alive = alive - {ev.patient}
     return WorldState(state.step + 1, alive)
 
 
@@ -184,7 +186,7 @@ def parse_world(text: str) -> KnowledgeBase:
                 raise ParseError("unlikely record takes action, agent prop, patient prop", lineno)
             action, agent_prop, patient_prop = fields[1:]
             if action not in ACTIONS:
-                raise UnknownAction(f"line {lineno}: action {action!r} is not one of {ACTIONS}")
+                raise UnknownAction(f"action {action!r} is not one of {ACTIONS}", lineno)
             for prop in (agent_prop, patient_prop):
                 if prop != WILDCARD and prop not in ENTITY_PROPERTIES:
                     raise ParseError(f"unknown property {prop!r}", lineno)
@@ -194,7 +196,7 @@ def parse_world(text: str) -> KnowledgeBase:
                 raise ParseError("hpd record takes action, agent, patient", lineno)
             action, agent, patient = fields[1:]
             if action not in ACTIONS:
-                raise UnknownAction(f"line {lineno}: action {action!r} is not one of {ACTIONS}")
+                raise UnknownAction(f"action {action!r} is not one of {ACTIONS}", lineno)
             happened.append(EventTerm(action, agent, patient))
         else:
             raise ParseError(f"unknown record type {kind!r}", lineno)

@@ -222,7 +222,18 @@ def test_lexicon_noun_missing_from_the_world_is_a_parse_error(capsys, text_file,
         code, out, err = run(capsys, command, "--text", path,
                              "--lexicon", str(lexicon), "--world", str(world))
         assert code == 2 and out == ""
-        assert err == "inputproc: error: line 2: entity 'owl' of 'owl' is not declared in the world\n"
+        assert err == f"inputproc: error: {lexicon}: line 2: entity 'owl' of 'owl' is not declared in the world\n"
+
+
+def test_world_row_error_names_the_world_file(capsys, text_file, tmp_path):
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("fox\tcontent\tentity:fox\n", encoding="utf-8")
+    world = tmp_path / "world.tsv"
+    world.write_text("entity\tfox\tanimate\nunlikely\tfly\t*\t*\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", "--text", text_file("the fox."),
+                         "--lexicon", str(lexicon), "--world", str(world))
+    assert code == 2 and out == ""
+    assert err == f"inputproc: error: {world}: line 2: action 'fly' is not one of ('bite', 'push', 'kill')\n"
 
 
 @pytest.mark.parametrize("flag", ["--text", "--lexicon", "--world"])

@@ -1,21 +1,28 @@
+from itertools import product
+
 from inputproc import (
     CONTENT_WORDS,
+    LEAF_CATEGORIES,
     NM_FORMS,
     NR_M_FORMS,
     R_M_FORMS,
     Concept,
+    LexEntry,
     MapAtom,
     P1Model,
+    SentenceEncoding,
     advanced_profile,
     beginner_profile,
     candidate_meanings,
     deterministic_maps,
     enumerate_p1_models,
-    ml_wrd,
+    is_ml_ctg_closed,
+    is_ml_pos_closed,
     overhead,
-    rank_of,
+    position_of,
     skippable,
 )
+from inputproc.principle1 import _likelihood_key
 
 from oracles import brute_force_models, entry_tuples, model_key
 
@@ -45,33 +52,52 @@ AGENCY_ATOM = atom(5, R_M_FORMS, SEM, "agency")
 REDUNDANT_PERSON_ATOM = atom(3, R_M_FORMS, SEM, "third_person_singular")
 
 
+def consumed_by_reading(s, profile):
+    """(word index, category) -> resource units consumed. Every concept of one
+    reading shares its likelihood, so the map loses nothing."""
+    return {(c.k, c.category): c.consumed for c in candidate_meanings(s, profile)}
+
+
+# The paper's ml_wrd(a, b), "a is strictly more likely to be processed than b",
+# holds exactly when a consumes fewer resource units than b.
+
 def test_ml_wrd_category_dominates(cat_bitten, advanced):
-    assert ml_wrd(2, CONTENT_WORDS, 3, NR_M_FORMS, cat_bitten, advanced)
-    assert not ml_wrd(3, NR_M_FORMS, 2, CONTENT_WORDS, cat_bitten, advanced)
+    consumed = consumed_by_reading(cat_bitten, advanced)
+    assert consumed[(2, CONTENT_WORDS)] < consumed[(3, NR_M_FORMS)]
+    assert not consumed[(3, NR_M_FORMS)] < consumed[(2, CONTENT_WORDS)]
 
 
 def test_ml_wrd_position_breaks_ties_within_category(cat_bitten, advanced):
     # "the" in initial position outranks "the" in final position
-    assert ml_wrd(1, NR_M_FORMS, 6, NR_M_FORMS, cat_bitten, advanced)
-    assert not ml_wrd(6, NR_M_FORMS, 1, NR_M_FORMS, cat_bitten, advanced)
+    consumed = consumed_by_reading(cat_bitten, advanced)
+    assert consumed[(1, NR_M_FORMS)] < consumed[(6, NR_M_FORMS)]
+    assert not consumed[(6, NR_M_FORMS)] < consumed[(1, NR_M_FORMS)]
 
 
 def test_ml_wrd_same_category_same_position_unordered(cat_bitten, advanced):
     # "was" and "by" are both redundant forms in medial position
-    assert not ml_wrd(3, R_M_FORMS, 5, R_M_FORMS, cat_bitten, advanced)
-    assert not ml_wrd(5, R_M_FORMS, 3, R_M_FORMS, cat_bitten, advanced)
+    consumed = consumed_by_reading(cat_bitten, advanced)
+    assert consumed[(3, R_M_FORMS)] == consumed[(5, R_M_FORMS)]
 
 
-def test_ml_wrd_requires_internalized_readings(cat_bitten, beginner):
-    # the beginner has no form entries, so no form pair is ordered
-    assert not ml_wrd(2, CONTENT_WORDS, 3, NR_M_FORMS, cat_bitten, beginner)
+def test_likelihood_key_orders_as_the_closed_orders():
+    # With n = 1, words 1, 3 and 5 of five are initial, medial and final.
+    s = SentenceEncoding("s1", ("a", "b", "c", "d", "e"))
+    readings = [(k, category) for k in (1, 3, 5) for category in LEAF_CATEGORIES]
+    assert {position_of(k, s, 1) for k, _ in readings} == {"initial", "medial", "final"}
+    for (ka, ca), (kb, cb) in product(readings, repeat=2):
+        more_likely = is_ml_ctg_closed(ca, cb) or (
+            ca == cb and is_ml_pos_closed(position_of(ka, s, 1), position_of(kb, s, 1)))
+        assert (_likelihood_key(ka, ca, s, 1) < _likelihood_key(kb, cb, s, 1)) == more_likely
 
 
 def test_ranks_of_known_candidates(cat_bitten, advanced):
-    assert rank_of((2, CONTENT_WORDS, Concept("entity", "cat")), cat_bitten, advanced) == 0
-    assert rank_of((4, CONTENT_WORDS, Concept("action", "bite")), cat_bitten, advanced) == 2
+    consumed = {(c.k, c.category, c.concept): c.consumed
+                for c in candidate_meanings(cat_bitten, advanced)}
+    assert consumed[(2, CONTENT_WORDS, Concept("entity", "cat"))] == 0
+    assert consumed[(4, CONTENT_WORDS, Concept("action", "bite"))] == 2
     # brute-force count: 3 content readings plus 6 nonredundant-form readings
-    assert rank_of((5, R_M_FORMS, Concept(SEM, "agency")), cat_bitten, advanced) == 9
+    assert consumed[(5, R_M_FORMS, Concept(SEM, "agency"))] == 9
 
 
 def test_overhead_per_category():
@@ -159,15 +185,32 @@ def test_capacity_monotonicity(cat_bitten, lexicon):
 
 
 def test_more_likely_implies_smaller_rank(cat_bitten, advanced, beginner):
+    def more_likely(a, b):
+        pa, pb = (position_of(c.k, cat_bitten, 2) for c in (a, b))
+        return is_ml_ctg_closed(a.category, b.category) or (
+            a.category == b.category and is_ml_pos_closed(pa, pb))
+
     for profile in (advanced, beginner):
-        cands = [
-            (c.k, c.category, c.concept)
-            for c in candidate_meanings(cat_bitten, profile)
-        ]
-        for a in cands:
-            for b in cands:
-                if ml_wrd(a[0], a[1], b[0], b[1], cat_bitten, profile):
-                    assert rank_of(a, cat_bitten, profile) < rank_of(b, cat_bitten, profile)
+        cands = candidate_meanings(cat_bitten, profile)
+        for b in cands:
+            # the rank is the number of strictly-more-likely candidates
+            assert b.consumed == sum(more_likely(a, b) for a in cands)
+            for a in cands:
+                if more_likely(a, b):
+                    assert a.consumed < b.consumed
+
+
+def test_skipped_atom_keeps_the_atom_that_delivers_its_concept():
+    # "b" delivers y for the redundant "a", and "a" delivers it for "b"; at
+    # most one of the two may be skipped, since skipping both loses the
+    # redundant reading's only source.
+    lexicon = [LexEntry("a", NR_M_FORMS, Concept(SEM, "y")), LexEntry("a", R_M_FORMS, Concept(SEM, "y")),
+               LexEntry("b", NR_M_FORMS, Concept(SEM, "y"))]
+    s = SentenceEncoding("s1", ("a", "b"))
+    models = enumerate_p1_models(s, advanced_profile(lexicon, 4, 1))
+    assert [m.skipped for m in models] == [
+        frozenset(), frozenset({atom(1, R_M_FORMS, SEM, "y")}), frozenset({atom(2, NR_M_FORMS, SEM, "y")})]
+    assert {model_key(m) for m in models} == brute_force_models(["a", "b"], entry_tuples(lexicon), 4, 1)
 
 
 def test_model_count_is_two_to_the_skippable(cat_bitten, lexicon):

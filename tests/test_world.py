@@ -9,6 +9,7 @@ from inputproc import (
     ParseError,
     UnknownAction,
     UnknownEntity,
+    WorldState,
     apply_effects,
     fresh_state,
     hpd,
@@ -48,10 +49,12 @@ def test_malformed_world_rejected(text):
 
 
 def test_unknown_action_in_world_file():
-    with pytest.raises(UnknownAction):
+    with pytest.raises(UnknownAction) as excinfo:
         parse_world("entity\tcat\tanimate\nunlikely\tfly\t*\t*")
-    with pytest.raises(UnknownAction):
+    assert excinfo.value.line == 2
+    with pytest.raises(UnknownAction) as excinfo:
         parse_world("entity\tcat\tanimate\nhpd\tfly\tcat\tcat")
+    assert excinfo.value.line == 2
 
 
 def test_happened_event_must_reference_declared_entities():
@@ -105,6 +108,12 @@ def test_push_is_inertial(kb):
     after = apply_effects(before, EventTerm("push", "cat", "dog"), kb)
     assert after.step == 2
     assert after.alive == before.alive
+
+
+def test_no_event_advances_only_the_step(kb):
+    before = apply_effects(fresh_state(kb), EventTerm("kill", "cat", "dog"), kb)
+    after = apply_effects(before, None, kb)
+    assert after == WorldState(before.step + 1, before.alive)
 
 
 def test_killing_the_dead_changes_nothing_but_the_step(kb):
