@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     InputProcError,
@@ -54,18 +53,6 @@ EXIT_TEMPLATE = 3
 
 TEXT_FORMAT = "text"
 STRUCTURED_FORMAT = "structured"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    learner: str
-    capacity: int
-    n: int
-    lexicon_path: str | None
-    world_path: str | None
-    text_path: str | None
-    format: str
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,14 +99,14 @@ def parse_records(text: str) -> list[Record]:
 
 # --- command bodies --------------------------------------------------------------
 
-def _profile(cfg: RunConfig, lexicon: frozenset[LexEntry]):
-    maker = beginner_profile if cfg.learner == "beginner" else advanced_profile
-    return maker(lexicon, cfg.capacity, cfg.n)
+def _profile(args: argparse.Namespace, lexicon: frozenset[LexEntry]):
+    maker = beginner_profile if args.learner == "beginner" else advanced_profile
+    return maker(lexicon, args.capacity, args.n)
 
 
-def cmd_p1map(cfg: RunConfig, paragraph: ParagraphEncoding,
+def cmd_p1map(args: argparse.Namespace, paragraph: ParagraphEncoding,
               lexicon: frozenset[LexEntry], kb: KnowledgeBase) -> str:
-    profile = _profile(cfg, lexicon)
+    profile = _profile(args, lexicon)
     text_lines: list[str] = []
     records: list[Record] = []
     for s in paragraph.sentences:
@@ -130,7 +117,7 @@ def cmd_p1map(cfg: RunConfig, paragraph: ParagraphEncoding,
                 text_lines.append(atom.render())
                 records.append(("map", s.id, str(index), str(atom.k),
                                 atom.category, atom.concept.name))
-    if cfg.format == STRUCTURED_FORMAT:
+    if args.format == STRUCTURED_FORMAT:
         return render_records(records)
     return "".join(line + "\n" for line in text_lines)
 
@@ -146,9 +133,9 @@ def _witness_line(meaning: ExtractedMeaning) -> str | None:
     return None
 
 
-def cmd_interpret(cfg: RunConfig, paragraph: ParagraphEncoding,
+def cmd_interpret(args: argparse.Namespace, paragraph: ParagraphEncoding,
                   lexicon: frozenset[LexEntry], kb: KnowledgeBase) -> str:
-    profile = _profile(cfg, lexicon)
+    profile = _profile(args, lexicon)
     meanings = interpret_paragraph(paragraph, profile, kb, lexicon)
     text_lines: list[str] = []
     records: list[Record] = []
@@ -169,7 +156,7 @@ def cmd_interpret(cfg: RunConfig, paragraph: ParagraphEncoding,
         records.append(("meaning", s.id, str(meaning.step), meaning.event.action,
                         meaning.event.agent, meaning.event.patient,
                         meaning.strategy, family, verdict))
-    if cfg.format == STRUCTURED_FORMAT:
+    if args.format == STRUCTURED_FORMAT:
         return render_records(records)
     return "".join(line + "\n" for line in text_lines)
 
@@ -188,7 +175,7 @@ def _verdict_record(v: ValuableVerdict) -> Record:
             fnp, cue, v.explanation[0], v.explanation[1])
 
 
-def cmd_check(cfg: RunConfig, paragraph: ParagraphEncoding,
+def cmd_check(args: argparse.Namespace, paragraph: ParagraphEncoding,
               lexicon: frozenset[LexEntry], kb: KnowledgeBase) -> str:
     verdicts = check_paragraph(paragraph, kb, lexicon)
     whole = "true" if paragraph_valuable(verdicts) else "false"
@@ -196,14 +183,14 @@ def cmd_check(cfg: RunConfig, paragraph: ParagraphEncoding,
     text_lines.append(f"paragraph({paragraph.id}) valuable = {whole}")
     records = [_verdict_record(v) for v in verdicts]
     records.append(("paragraph", paragraph.id, whole))
-    if cfg.format == STRUCTURED_FORMAT:
+    if args.format == STRUCTURED_FORMAT:
         return render_records(records)
     return "".join(line + "\n" for line in text_lines)
 
 
-def cmd_generate(cfg: RunConfig, lexicon: frozenset[LexEntry], kb: KnowledgeBase) -> str:
+def cmd_generate(args: argparse.Namespace, lexicon: frozenset[LexEntry], kb: KnowledgeBase) -> str:
     generated = generate_valuable(kb, lexicon)
-    if cfg.format == STRUCTURED_FORMAT:
+    if args.format == STRUCTURED_FORMAT:
         return render_records([
             ("sentence", text, v.fnp_event.compact(), v.cue_event.compact())
             for text, v in generated
@@ -233,37 +220,35 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    cfg = RunConfig(args.command, args.learner, args.capacity, args.n,
-                    args.lexicon, args.world, args.text, args.format)
-    if cfg.capacity < 0:
+    if args.capacity < 0:
         print("inputproc: error: --capacity must be >= 0", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.n < 1:
+    if args.n < 1:
         print("inputproc: error: --n must be >= 1", file=sys.stderr)
         return EXIT_USAGE
 
     try:
-        kb = _parse_file(cfg.world_path, parse_world) if cfg.world_path else default_world()
-        if cfg.lexicon_path:
-            lexicon = _parse_file(cfg.lexicon_path, parse_lexicon, kb)
+        kb = _parse_file(args.world, parse_world) if args.world else default_world()
+        if args.lexicon:
+            lexicon = _parse_file(args.lexicon, parse_lexicon, kb)
         else:
             lexicon = default_lexicon(kb)
         paragraph = None
-        if cfg.command != "generate":
-            paragraph = encode_text(read_text(cfg.text_path))
+        if args.command != "generate":
+            paragraph = encode_text(read_text(args.text))
     except (ParseError, OSError, InputProcError) as exc:
         print(f"inputproc: error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
     try:
-        if cfg.command == "p1map":
-            output = cmd_p1map(cfg, paragraph, lexicon, kb)
-        elif cfg.command == "interpret":
-            output = cmd_interpret(cfg, paragraph, lexicon, kb)
-        elif cfg.command == "check":
-            output = cmd_check(cfg, paragraph, lexicon, kb)
+        if args.command == "p1map":
+            output = cmd_p1map(args, paragraph, lexicon, kb)
+        elif args.command == "interpret":
+            output = cmd_interpret(args, paragraph, lexicon, kb)
+        elif args.command == "check":
+            output = cmd_check(args, paragraph, lexicon, kb)
         else:
-            output = cmd_generate(cfg, lexicon, kb)
+            output = cmd_generate(args, lexicon, kb)
     except (UnrecognizedTemplate, NoInterpretation) as exc:
         print(f"inputproc: error: {exc}", file=sys.stderr)
         return EXIT_TEMPLATE

@@ -41,7 +41,7 @@ class DuplicateEntry(ParseError):
 
 # --- world knowledge ------------------------------------------------------------
 
-class UnknownEntity(InputProcError):
+class UnknownEntity(ParseError):
     """Event or record references an entity the knowledge base never declared."""
 
 

@@ -13,14 +13,13 @@ A parallel order ranks sentence positions: initial > final > medial.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
 from types import MappingProxyType
 
+from ._value import value_class
 from .errors import DuplicateEntry, ParseError, UnknownCategory
-from .text import FINAL, INITIAL, MEDIAL, read_text
+from .text import FINAL, INITIAL, MEDIAL, SENTENCE_DELIMITERS, TOKEN_PUNCTUATION, read_text
 from .world import ACTIONS, KnowledgeBase
 
 # Hierarchy nodes.
@@ -53,7 +52,7 @@ CONCEPT_KINDS = (ENTITY, ACTION, SEMANTIC, DISCOURSE)
 _CONTENT_KINDS = frozenset({ENTITY, ACTION, DISCOURSE})
 
 
-@dataclass(frozen=True)
+@value_class
 class Concept:
     """A language-independent cognitive concept."""
 
@@ -66,7 +65,7 @@ PASSIVE_VOICE_CONCEPT = Concept(SEMANTIC, "passive_voice")
 PAST_PARTICIPLE_CONCEPT = Concept(SEMANTIC, "past_participle")
 
 
-@dataclass(frozen=True)
+@value_class
 class LexEntry:
     """One internalized reading of a word: membership in a leaf category
     together with the concept that reading denotes."""
@@ -155,7 +154,7 @@ def as_lexicon(entries: Iterable[LexEntry]) -> Lexicon:
     return entries if isinstance(entries, Lexicon) else Lexicon(entries)
 
 
-@dataclass(frozen=True)
+@value_class
 class LearnerProfile:
     """A learner's second-language knowledge plus processing parameters.
 
@@ -233,7 +232,9 @@ def parse_lexicon(text: str, kb: KnowledgeBase | None = None) -> Lexicon:
         if len(fields) != 3:
             raise ParseError(f"expected 3 tab-separated fields, got {len(fields)}", lineno)
         word, raw_category, raw_concept = map(str.strip, fields)
-        if not word or any(map(str.isspace, word)):
+        # A word the tokenizer cannot yield could never be read in a text.
+        if (not word or any(map(str.isspace, word)) or word.strip(TOKEN_PUNCTUATION) != word
+                or any(map(word.__contains__, SENTENCE_DELIMITERS))):
             raise ParseError(f"bad word {word!r}", lineno)
         if raw_category not in _FILE_CATEGORIES:
             raise UnknownCategory(f"unknown category {raw_category!r}", lineno)
@@ -257,7 +258,7 @@ def parse_lexicon(text: str, kb: KnowledgeBase | None = None) -> Lexicon:
     return Lexicon(entries)
 
 
-def load_lexicon(path: str | Path) -> Lexicon:
+def load_lexicon(path: str | os.PathLike[str]) -> Lexicon:
     """Load a lexicon TSV file."""
     return parse_lexicon(read_text(path))
 
@@ -265,8 +266,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
 def default_lexicon(kb: KnowledgeBase | None = None) -> Lexicon:
     """The vocabulary shipped with the package, checked against `kb` as
     `parse_lexicon` does."""
-    source = resources.files("inputproc.data").joinpath("lexicon.tsv")
-    return parse_lexicon(source.read_text(encoding="utf-8"), kb)
+    return parse_lexicon(read_text(os.path.join(os.path.dirname(__file__), "data", "lexicon.tsv")), kb)
 
 
 # --- learner profiles -----------------------------------------------------------

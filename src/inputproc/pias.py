@@ -12,9 +12,9 @@ the vocabulary, keeping the sentences the checker marks valuable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
+from ._value import value_class
 from .errors import NoInterpretation
 from .lexicon import LexEntry, advanced_profile, as_lexicon
 from .principle1 import enumerate_p1_models
@@ -34,7 +34,7 @@ CHECK_POSITION_WINDOW = 2
 NO_INTERPRETATION = "no_interpretation"
 
 
-@dataclass(frozen=True)
+@value_class
 class ValuableVerdict:
     """Outcome of checking one sentence: the event each route extracts and
     whether they disagree."""
@@ -46,7 +46,7 @@ class ValuableVerdict:
     explanation: tuple[str, str]
 
 
-@dataclass(frozen=True)
+@value_class
 class Schema:
     """One instantiation of the passive sentence schema: noun words n1 and n2
     around a past-participle verb word v."""

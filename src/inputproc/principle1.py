@@ -20,9 +20,9 @@ it leaves out still has its concept extracted by an atom it keeps.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._value import value_class
 from .lexicon import (
     CONTENT_WORDS,
     LEAF_CATEGORIES,
@@ -37,7 +37,7 @@ from .lexicon import (
 from .text import POSITIONS, SentenceEncoding, position_of
 
 
-@dataclass(frozen=True)
+@value_class
 class MapAtom:
     """The k-th word of a sentence was processed under a leaf category and
     mapped into a concept."""
@@ -51,7 +51,7 @@ class MapAtom:
         return f"map({self.k}, {self.sentence}, {self.category}, {self.concept.name})"
 
 
-@dataclass(frozen=True)
+@value_class
 class CandidateMeaning:
     """A candidate triple with its likelihood rank and resource verdict."""
 
@@ -62,7 +62,7 @@ class CandidateMeaning:
     gated: bool
 
 
-@dataclass(frozen=True)
+@value_class
 class P1Model:
     """One complete interpretation: atoms kept, redundant atoms skipped."""
 

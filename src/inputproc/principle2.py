@@ -16,8 +16,8 @@ wrong, updates the story state the next sentence is judged against.
 from __future__ import annotations
 
 from collections.abc import Container
-from dataclasses import dataclass
 
+from ._value import value_class
 from .errors import NoInterpretation, UnrecognizedTemplate
 from .lexicon import (
     ACTION,
@@ -58,7 +58,7 @@ def strategy_family(strategy: str) -> str:
     return GRM_CUES if strategy == GRM_CUES else "fnp"
 
 
-@dataclass(frozen=True)
+@value_class
 class DirRev:
     """The two noun-order readings of one sentence."""
 
@@ -66,7 +66,7 @@ class DirRev:
     reverse: EventTerm
 
 
-@dataclass(frozen=True)
+@value_class
 class ExtractedMeaning:
     """The event a learner assigned to a sentence, or None when the processed
     mapping was too sparse to name one."""

@@ -8,9 +8,9 @@ last n words).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
+import os
 
+from ._value import value_class
 from .errors import EmptySentence, EmptyText, IndexOutOfRange, ParseError
 
 SENTENCE_DELIMITERS = ".!?"
@@ -22,7 +22,7 @@ FINAL = "final"
 POSITIONS = (INITIAL, MEDIAL, FINAL)
 
 
-@dataclass(frozen=True)
+@value_class
 class SentenceEncoding:
     """One sentence as an ordered, 1-indexed token sequence."""
 
@@ -42,7 +42,7 @@ class SentenceEncoding:
         return " ".join(self.tokens)
 
 
-@dataclass(frozen=True)
+@value_class
 class ParagraphEncoding:
     """An ordered sequence of sentences; the i-th sentence is story step i."""
 
@@ -104,10 +104,11 @@ def position_of(k: int, sentence: SentenceEncoding, n: int = 2) -> str:
     return MEDIAL
 
 
-def read_text(path: str | Path) -> str:
+def read_text(path: str | os.PathLike[str]) -> str:
     """The contents of a UTF-8 input file; other bytes raise `ParseError`
     naming the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None

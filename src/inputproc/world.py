@@ -9,10 +9,9 @@ is inertial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from importlib import resources
-from pathlib import Path
+import os
 
+from ._value import value_class
 from .errors import ParseError, UnknownAction, UnknownEntity
 from .text import read_text
 
@@ -28,7 +27,7 @@ ACTIONS = (BITE, PUSH, KILL)
 WILDCARD = "*"
 
 
-@dataclass(frozen=True)
+@value_class
 class EventTerm:
     """An event: someone (agent) does something (action) to someone (patient)."""
 
@@ -46,13 +45,13 @@ class EventTerm:
         return EventTerm(self.action, self.patient, self.agent)
 
 
-@dataclass(frozen=True)
+@value_class
 class EntityDef:
     name: str
     properties: frozenset[str]
 
 
-@dataclass(frozen=True)
+@value_class
 class UnlikelyRule:
     """Pattern marking events as improbable: action plus property constraints
     on agent and patient ('*' matches anything)."""
@@ -62,7 +61,7 @@ class UnlikelyRule:
     patient_prop: str
 
 
-@dataclass(frozen=True)
+@value_class
 class WorldState:
     """Story state at a step: which entities are still alive."""
 
@@ -70,7 +69,7 @@ class WorldState:
     alive: frozenset[str]
 
 
-@dataclass(frozen=True)
+@value_class
 class KnowledgeBase:
     """Immutable collection of entities, unlikelihood patterns, and
     known-to-have-happened events."""
@@ -78,10 +77,9 @@ class KnowledgeBase:
     entities: tuple[EntityDef, ...]
     unlikely_rules: tuple[UnlikelyRule, ...]
     happened: frozenset[EventTerm]
-    _by_name: dict[str, EntityDef] = field(init=False, repr=False, compare=False)
-    _names: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # Lookup tables, not fields: they stay out of eq, hash and repr.
         object.__setattr__(self, "_by_name", {e.name: e for e in self.entities})
         object.__setattr__(self, "_names", frozenset(self._by_name))
 
@@ -165,7 +163,7 @@ def parse_world(text: str) -> KnowledgeBase:
     # world's memory to its names rather than one set per entity.
     prop_sets: dict[frozenset[str], frozenset[str]] = {}
     rules: list[UnlikelyRule] = []
-    happened: list[EventTerm] = []
+    happened: dict[EventTerm, int] = {}  # event -> line of its first row
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -197,22 +195,22 @@ def parse_world(text: str) -> KnowledgeBase:
             action, agent, patient = fields[1:]
             if action not in ACTIONS:
                 raise UnknownAction(f"action {action!r} is not one of {ACTIONS}", lineno)
-            happened.append(EventTerm(action, agent, patient))
+            happened.setdefault(EventTerm(action, agent, patient), lineno)
         else:
             raise ParseError(f"unknown record type {kind!r}", lineno)
-    kb = KnowledgeBase(tuple(entities.values()), tuple(rules), frozenset(happened))
-    for ev in kb.happened:
-        kb.entity(ev.agent)
-        kb.entity(ev.patient)
-    return kb
+    # Checked after the loop, so an hpd row may name an entity declared below it.
+    for ev, lineno in happened.items():
+        for name in (ev.agent, ev.patient):
+            if name not in entities:
+                raise UnknownEntity(f"entity {name!r} is not declared", lineno)
+    return KnowledgeBase(tuple(entities.values()), tuple(rules), frozenset(happened))
 
 
-def load_world(path: str | Path) -> KnowledgeBase:
+def load_world(path: str | os.PathLike[str]) -> KnowledgeBase:
     """Load a world TSV file."""
     return parse_world(read_text(path))
 
 
 def default_world() -> KnowledgeBase:
     """The knowledge base shipped with the package."""
-    source = resources.files("inputproc.data").joinpath("world.tsv")
-    return parse_world(source.read_text(encoding="utf-8"))
+    return parse_world(read_text(os.path.join(os.path.dirname(__file__), "data", "world.tsv")))

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import inputproc
 from inputproc.cli import main, parse_records, render_records
 
 from conftest import SINGLE_SENTENCES, STORIES
@@ -234,6 +239,40 @@ def test_world_row_error_names_the_world_file(capsys, text_file, tmp_path):
                          "--lexicon", str(lexicon), "--world", str(world))
     assert code == 2 and out == ""
     assert err == f"inputproc: error: {world}: line 2: action 'fly' is not one of ('bite', 'push', 'kill')\n"
+
+
+def test_undeclared_entity_in_an_hpd_row_names_its_line(capsys, text_file, tmp_path):
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("fox\tcontent\tentity:fox\n", encoding="utf-8")
+    world = tmp_path / "world.tsv"
+    world.write_text("entity\tfox\tanimate\nhpd\tbite\tfox\tghost\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", "--text", text_file("the fox."),
+                         "--lexicon", str(lexicon), "--world", str(world))
+    assert code == 2 and out == ""
+    assert err == f"inputproc: error: {world}: line 2: entity 'ghost' is not declared\n"
+
+
+def test_lexicon_word_no_text_can_contain_is_a_parse_error(capsys, tmp_path):
+    # Such a noun makes `generate` render "The .. was bitten by the dog.", a
+    # text with an empty sentence between the two dots.
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("..\tcontent\tentity:cat\ndog\tcontent\tentity:dog\n"
+                       "bitten\tcontent\taction:bite\nbitten\tnr_m_form\tsem:past_participle\n",
+                       encoding="utf-8")
+    code, out, err = run(capsys, "generate", "--lexicon", str(lexicon))
+    assert code == 2 and out == ""
+    assert err == f"inputproc: error: {lexicon}: line 1: bad word '..'\n"
+
+
+def test_import_loads_no_heavy_standard_modules():
+    # -S skips `site`, whose .pth files may already have loaded some of these.
+    src = os.path.dirname(os.path.dirname(inputproc.__file__))
+    probe = "import sys, inputproc.cli; print(*sys.modules)"
+    loaded = subprocess.run([sys.executable, "-S", "-c", probe], check=True, capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    heavy = {"dataclasses", "inspect", "importlib.resources", "tempfile", "zipfile"}
+    assert "inputproc.cli" in loaded
+    assert heavy.isdisjoint(loaded)
 
 
 @pytest.mark.parametrize("flag", ["--text", "--lexicon", "--world"])

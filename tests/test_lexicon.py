@@ -70,10 +70,17 @@ def test_duplicate_rejected():
     "cat\tcontent\tsem:cat",             # content word with a form concept
     "was\tnr_m_form\tentity:was",        # form with a content concept
     "two words\tcontent\tentity:x",      # whitespace inside the word
+    "..\tcontent\tentity:x",             # the tokenizer splits sentences there
+    "c!t\tcontent\tentity:x",            # ... and there
+    "cat,\tcontent\tentity:x",           # the tokenizer strips the comma
 ])
 def test_malformed_rows_rejected(row):
     with pytest.raises(ParseError):
         parse_lexicon(row)
+
+
+def test_words_keep_inner_punctuation():
+    assert {e.word for e in parse_lexicon("o,k\tcontent\tentity:x\ne:g\tcontent\tentity:y")} == {"o,k", "e:g"}
 
 
 def test_parse_error_carries_line_number():

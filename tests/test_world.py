@@ -1,4 +1,3 @@
-from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
@@ -58,8 +57,18 @@ def test_unknown_action_in_world_file():
 
 
 def test_happened_event_must_reference_declared_entities():
-    with pytest.raises(UnknownEntity):
+    with pytest.raises(UnknownEntity) as excinfo:
         parse_world("entity\tcat\tanimate\nhpd\tbite\tcat\tghost")
+    assert excinfo.value.line == 2
+    assert str(excinfo.value) == "line 2: entity 'ghost' is not declared"
+    with pytest.raises(UnknownEntity) as excinfo:
+        parse_world("entity\tcat\tanimate\nhpd\tbite\tcat\tcat\nhpd\tbite\tghost\tcat\nhpd\tbite\tcat\tgnome")
+    assert excinfo.value.line == 3
+
+
+def test_happened_event_may_precede_the_entities_it_names():
+    kb = parse_world("hpd\tbite\tcat\tdog\nentity\tcat\tanimate\nentity\tdog\tanimate")
+    assert hpd(EventTerm("bite", "cat", "dog"), kb)
 
 
 def test_inanimate_agent_cannot_act(kb):
@@ -166,7 +175,7 @@ def test_predicates_are_pure(kb):
 
 
 def test_knowledge_base_is_frozen_and_shares_what_it_can(kb):
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign to field 'entities'"):
         kb.entities = ()
     assert kb.entity_names() is kb.entity_names()
     assert fresh_state(kb).alive is kb.entity_names()
