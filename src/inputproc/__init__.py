@@ -60,7 +60,6 @@ from .principle2 import (
     grm_cues_available,
     interpret_paragraph,
     surface_dir_rev,
-    voice_of,
 )
 from .pias import (
     Schema,

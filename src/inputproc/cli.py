@@ -16,31 +16,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    InputProcError,
-    NoInterpretation,
-    ParseError,
-    UnrecognizedTemplate,
-)
-from .lexicon import (
-    LexEntry,
-    advanced_profile,
-    beginner_profile,
-    default_lexicon,
-    parse_lexicon,
-)
+from .errors import InputProcError, NoInterpretation, ParseError, UnrecognizedTemplate
+from .lexicon import LexEntry, advanced_profile, beginner_profile, default_lexicon, parse_lexicon
 from .principle1 import atom_sort_key, enumerate_p1_models
 from .principle2 import (
     EVENT_PROB_2B,
-    GRM_CUES,
     LEX_SEM_2A,
     PRIOR_KNOWLEDGE_2D,
     ExtractedMeaning,
-    correct_meaning,
     interpret_paragraph,
     strategy_family,
-    surface_dir_rev,
-    voice_of,
 )
 from .pias import ValuableVerdict, check_paragraph, generate_valuable, paragraph_valuable
 from .text import ParagraphEncoding, encode_text, read_text
@@ -55,16 +40,9 @@ TEXT_FORMAT = "text"
 STRUCTURED_FORMAT = "structured"
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage problems exit 1, not argparse's default 2
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="inputproc", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = argparse.ArgumentParser(prog="inputproc", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, needs_text in (("p1map", True), ("interpret", True),
                              ("check", True), ("generate", False)):
@@ -84,121 +62,97 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# --- record plumbing ----------------------------------------------------------
+# --- records ----------------------------------------------------------------------
+#
+# A command builds one list of records `(kind, *values)`. `_TEXT[kind]` renders
+# one as text lines, `_FIELDS[kind]` as its tab-separated fields after the kind.
 
-Record = tuple[str, ...]
-
-
-def render_records(records: list[Record]) -> str:
+def render_records(records: list[tuple[str, ...]]) -> str:
     return "".join("\t".join(rec) + "\n" for rec in records)
 
 
-def parse_records(text: str) -> list[Record]:
+def parse_records(text: str) -> list[tuple[str, ...]]:
     return [tuple(line.split("\t")) for line in text.splitlines()]
 
 
-# --- command bodies --------------------------------------------------------------
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
 
-def _profile(args: argparse.Namespace, lexicon: frozenset[LexEntry]):
+
+def _routes(v: ValuableVerdict, compact: bool = False) -> tuple[str, str]:
+    """Each route's event, or '-' when the sentence has no interpretation."""
+    return tuple("-" if ev is None else ev.compact() if compact else ev.render()
+                 for ev in (v.fnp_event, v.cue_event))
+
+
+def _routes_text(v: ValuableVerdict) -> str:
+    return "[fnp: {}; cues: {}]".format(*_routes(v))
+
+
+def _meaning_text(m: ExtractedMeaning) -> str:
+    lines = [f"extr_m({m.event.render()}, {m.sentence})",
+             f"extr_m_by({m.sentence}, {strategy_family(m.strategy)})"]
+    if m.strategy == LEX_SEM_2A:
+        lines.append(f"impossible({m.event.reversed().render()}, {m.step})")
+    elif m.strategy == EVENT_PROB_2B:
+        lines.append(f"unlikely({m.event.reversed().render()}, {m.step})")
+    elif m.strategy == PRIOR_KNOWLEDGE_2D:
+        lines.append(f"hpd({m.event.render()})")
+    lines.append(f"correct({m.sentence}, {'yes' if m.correct else 'no'})")
+    return "\n".join(lines)
+
+
+_TEXT = {
+    "p1model": lambda sid, index: f"model {index} of {sid}:",
+    "map": lambda index, atom: atom.render(),
+    "no_meaning": lambda m: f"no_meaning({m.sentence})",
+    "meaning": _meaning_text,
+    "verdict": lambda v: f"valuable({v.target}) = {_flag(v.valuable)} {_routes_text(v)}",
+    "paragraph": lambda pid, valuable: f"paragraph({pid}) valuable = {_flag(valuable)}",
+    "sentence": lambda text, v: f"{text} {_routes_text(v)}",
+}
+
+_FIELDS = {
+    "p1model": lambda sid, index: (sid, str(index)),
+    "map": lambda index, atom: (atom.sentence, str(index), str(atom.k), atom.category,
+                                atom.concept.name),
+    "no_meaning": lambda m: (m.sentence, str(m.step)),
+    "meaning": lambda m: (m.sentence, str(m.step), m.event.action, m.event.agent, m.event.patient,
+                          m.strategy, strategy_family(m.strategy), "yes" if m.correct else "no"),
+    "verdict": lambda v: (v.target, _flag(v.valuable), *_routes(v, compact=True), *v.explanation),
+    "paragraph": lambda pid, valuable: (pid, _flag(valuable)),
+    "sentence": lambda text, v: (text, *_routes(v, compact=True)),
+}
+
+
+def render(records: list[tuple], fmt: str) -> str:
+    if fmt == STRUCTURED_FORMAT:
+        return render_records([(kind, *_FIELDS[kind](*values)) for kind, *values in records])
+    return "".join(_TEXT[kind](*values) + "\n" for kind, *values in records)
+
+
+# --- commands ---------------------------------------------------------------------
+
+def build_records(args: argparse.Namespace, paragraph: ParagraphEncoding | None,
+                  lexicon: frozenset[LexEntry], kb: KnowledgeBase) -> list[tuple]:
+    """The records the command `args.command` prints, in order."""
+    if args.command == "generate":
+        return [("sentence", text, v) for text, v in generate_valuable(kb, lexicon)]
+    if args.command == "check":
+        verdicts = check_paragraph(paragraph, kb, lexicon)
+        return [*(("verdict", v) for v in verdicts),
+                ("paragraph", paragraph.id, paragraph_valuable(verdicts))]
     maker = beginner_profile if args.learner == "beginner" else advanced_profile
-    return maker(lexicon, args.capacity, args.n)
-
-
-def cmd_p1map(args: argparse.Namespace, paragraph: ParagraphEncoding,
-              lexicon: frozenset[LexEntry], kb: KnowledgeBase) -> str:
-    profile = _profile(args, lexicon)
-    text_lines: list[str] = []
-    records: list[Record] = []
+    profile = maker(lexicon, args.capacity, args.n)
+    if args.command == "interpret":
+        meanings = interpret_paragraph(paragraph, profile, kb, lexicon)
+        return [("no_meaning" if m.event is None else "meaning", m) for m in meanings]
+    records: list[tuple] = []
     for s in paragraph.sentences:
         for index, model in enumerate(enumerate_p1_models(s, profile), 1):
-            text_lines.append(f"model {index} of {s.id}:")
-            records.append(("p1model", s.id, str(index)))
-            for atom in sorted(model.atoms, key=atom_sort_key):
-                text_lines.append(atom.render())
-                records.append(("map", s.id, str(index), str(atom.k),
-                                atom.category, atom.concept.name))
-    if args.format == STRUCTURED_FORMAT:
-        return render_records(records)
-    return "".join(line + "\n" for line in text_lines)
-
-
-def _witness_line(meaning: ExtractedMeaning) -> str | None:
-    ev = meaning.event
-    if meaning.strategy == LEX_SEM_2A:
-        return f"impossible({ev.reversed().render()}, {meaning.step})"
-    if meaning.strategy == EVENT_PROB_2B:
-        return f"unlikely({ev.reversed().render()}, {meaning.step})"
-    if meaning.strategy == PRIOR_KNOWLEDGE_2D:
-        return f"hpd({ev.render()})"
-    return None
-
-
-def cmd_interpret(args: argparse.Namespace, paragraph: ParagraphEncoding,
-                  lexicon: frozenset[LexEntry], kb: KnowledgeBase) -> str:
-    profile = _profile(args, lexicon)
-    meanings = interpret_paragraph(paragraph, profile, kb, lexicon)
-    text_lines: list[str] = []
-    records: list[Record] = []
-    for meaning, s in zip(meanings, paragraph.sentences):
-        if meaning.event is None:
-            text_lines.append(f"no_meaning({s.id})")
-            records.append(("no_meaning", s.id, str(meaning.step)))
-            continue
-        truth = correct_meaning(surface_dir_rev(s, lexicon), voice_of(s, lexicon))
-        verdict = "yes" if meaning.event == truth else "no"
-        family = strategy_family(meaning.strategy)
-        text_lines.append(f"extr_m({meaning.event.render()}, {s.id})")
-        text_lines.append(f"extr_m_by({s.id}, {family})")
-        witness = _witness_line(meaning)
-        if witness:
-            text_lines.append(witness)
-        text_lines.append(f"correct({s.id}, {verdict})")
-        records.append(("meaning", s.id, str(meaning.step), meaning.event.action,
-                        meaning.event.agent, meaning.event.patient,
-                        meaning.strategy, family, verdict))
-    if args.format == STRUCTURED_FORMAT:
-        return render_records(records)
-    return "".join(line + "\n" for line in text_lines)
-
-
-def _verdict_text(v: ValuableVerdict) -> str:
-    fnp = v.fnp_event.render() if v.fnp_event else "-"
-    cue = v.cue_event.render() if v.cue_event else "-"
-    flag = "true" if v.valuable else "false"
-    return f"valuable({v.target}) = {flag} [fnp: {fnp}; cues: {cue}]"
-
-
-def _verdict_record(v: ValuableVerdict) -> Record:
-    fnp = v.fnp_event.compact() if v.fnp_event else "-"
-    cue = v.cue_event.compact() if v.cue_event else "-"
-    return ("verdict", v.target, "true" if v.valuable else "false",
-            fnp, cue, v.explanation[0], v.explanation[1])
-
-
-def cmd_check(args: argparse.Namespace, paragraph: ParagraphEncoding,
-              lexicon: frozenset[LexEntry], kb: KnowledgeBase) -> str:
-    verdicts = check_paragraph(paragraph, kb, lexicon)
-    whole = "true" if paragraph_valuable(verdicts) else "false"
-    text_lines = [_verdict_text(v) for v in verdicts]
-    text_lines.append(f"paragraph({paragraph.id}) valuable = {whole}")
-    records = [_verdict_record(v) for v in verdicts]
-    records.append(("paragraph", paragraph.id, whole))
-    if args.format == STRUCTURED_FORMAT:
-        return render_records(records)
-    return "".join(line + "\n" for line in text_lines)
-
-
-def cmd_generate(args: argparse.Namespace, lexicon: frozenset[LexEntry], kb: KnowledgeBase) -> str:
-    generated = generate_valuable(kb, lexicon)
-    if args.format == STRUCTURED_FORMAT:
-        return render_records([
-            ("sentence", text, v.fnp_event.compact(), v.cue_event.compact())
-            for text, v in generated
-        ])
-    return "".join(
-        f"{text} [fnp: {v.fnp_event.render()}; cues: {v.cue_event.render()}]\n"
-        for text, v in generated
-    )
+            records.append(("p1model", s.id, index))
+            records += [("map", index, atom) for atom in sorted(model.atoms, key=atom_sort_key)]
+    return records
 
 
 # --- entry point -----------------------------------------------------------------
@@ -213,49 +167,34 @@ def _parse_file(path: str, parse, *args):
         raise ParseError(f"{path}: {exc}") from None
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+def _fail(message, code: int) -> int:
+    print(f"inputproc: error: {message}", file=sys.stderr)
+    return code
 
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage problem, which this program reports as 1
+        return EXIT_USAGE if exc.code else EXIT_OK
     if args.capacity < 0:
-        print("inputproc: error: --capacity must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("--capacity must be >= 0", EXIT_USAGE)
     if args.n < 1:
-        print("inputproc: error: --n must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("--n must be >= 1", EXIT_USAGE)
 
     try:
         kb = _parse_file(args.world, parse_world) if args.world else default_world()
-        if args.lexicon:
-            lexicon = _parse_file(args.lexicon, parse_lexicon, kb)
-        else:
-            lexicon = default_lexicon(kb)
-        paragraph = None
-        if args.command != "generate":
-            paragraph = encode_text(read_text(args.text))
+        lexicon = (_parse_file(args.lexicon, parse_lexicon, kb) if args.lexicon
+                   else default_lexicon(kb))
+        paragraph = None if args.command == "generate" else encode_text(read_text(args.text))
     except (ParseError, OSError, InputProcError) as exc:
-        print(f"inputproc: error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(exc, EXIT_PARSE)
 
     try:
-        if args.command == "p1map":
-            output = cmd_p1map(args, paragraph, lexicon, kb)
-        elif args.command == "interpret":
-            output = cmd_interpret(args, paragraph, lexicon, kb)
-        elif args.command == "check":
-            output = cmd_check(args, paragraph, lexicon, kb)
-        else:
-            output = cmd_generate(args, lexicon, kb)
+        records = build_records(args, paragraph, lexicon, kb)
     except (UnrecognizedTemplate, NoInterpretation) as exc:
-        print(f"inputproc: error: {exc}", file=sys.stderr)
-        return EXIT_TEMPLATE
+        return _fail(exc, EXIT_TEMPLATE)
 
-    sys.stdout.write(output)
+    sys.stdout.write(render(records, args.format))
     return EXIT_OK
-
-
-def console_main() -> None:
-    raise SystemExit(main())

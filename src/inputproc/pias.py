@@ -23,7 +23,7 @@ from .principle2 import (
     correct_meaning,
     dir_rev_m,
     extract_fnp,
-    voice_of,
+    surface_dir_rev,
 )
 from .text import ParagraphEncoding, SentenceEncoding, encode_text
 from .world import EventTerm, KnowledgeBase, WorldState, apply_effects, fresh_state
@@ -64,7 +64,7 @@ def check_sentence(s: SentenceEncoding, kb: KnowledgeBase, state: WorldState,
     """Compare the First-Noun-Principle reading against the grammatical-cue
     reading of one sentence in the given story state."""
     profile = advanced_profile(lexicon, CHECK_CAPACITY, CHECK_POSITION_WINDOW)
-    voice = voice_of(s, profile.lexicon)
+    _, voice = surface_dir_rev(s, profile.lexicon)
     model = enumerate_p1_models(s, profile)[0]
     try:
         dr = dir_rev_m(model, s)

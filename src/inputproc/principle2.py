@@ -15,8 +15,6 @@ wrong, updates the story state the next sentence is judged against.
 
 from __future__ import annotations
 
-from collections.abc import Container
-
 from ._value import value_class
 from .errors import NoInterpretation, UnrecognizedTemplate
 from .lexicon import (
@@ -69,12 +67,14 @@ class DirRev:
 @value_class
 class ExtractedMeaning:
     """The event a learner assigned to a sentence, or None when the processed
-    mapping was too sparse to name one."""
+    mapping was too sparse to name one, and whether it is the event the
+    sentence's grammar encodes (None with no event)."""
 
     sentence: str
     event: EventTerm | None
     strategy: str | None
     step: int
+    correct: bool | None
 
 
 def dir_rev_m(model: P1Model, s: SentenceEncoding) -> DirRev:
@@ -107,43 +107,36 @@ def dir_rev_m(model: P1Model, s: SentenceEncoding) -> DirRev:
     return DirRev(direct, direct.reversed())
 
 
-def _indices(s: SentenceEncoding, words: Container[str]) -> list[int]:
-    return [k for k in range(1, len(s) + 1) if s.word_at(k) in words]
-
-
-def surface_dir_rev(s: SentenceEncoding, full_lexicon: frozenset[LexEntry]) -> DirRev:
-    """The two readings a sentence supports on its surface, judged against the
-    whole vocabulary rather than one learner's slice of it."""
-    lexicon = as_lexicon(full_lexicon)
-    entity_ks = _indices(s, lexicon.nouns)
-    action_ks = _indices(s, lexicon.actions)
-    if len(entity_ks) < 2 or not action_ks:
-        raise UnrecognizedTemplate(
-            f"{s.id}: need two nouns and a verb, found {len(entity_ks)} and {len(action_ks)}"
-        )
-    nouns, actions = lexicon.nouns, lexicon.actions
-    direct = EventTerm(actions[s.word_at(action_ks[0])],
-                       nouns[s.word_at(entity_ks[0])], nouns[s.word_at(entity_ks[1])])
-    return DirRev(direct, direct.reversed())
-
-
-def voice_of(s: SentenceEncoding, full_lexicon: frozenset[LexEntry]) -> str:
-    """Classify a sentence as active or passive from its surface structure.
+def surface_dir_rev(s: SentenceEncoding,
+                    full_lexicon: frozenset[LexEntry]) -> tuple[DirRev, str]:
+    """The two readings a sentence supports on its surface, and its voice,
+    judged against the whole vocabulary rather than one learner's slice of it.
 
     The sentence must fit a transitive template: two nouns with a verb between
     them. It is passive when a passive-voice auxiliary precedes a past
     participle, active otherwise.
     """
     lexicon = as_lexicon(full_lexicon)
-    entity_ks = _indices(s, lexicon.nouns)
-    action_ks = _indices(s, lexicon.actions)
+    nouns, actions = lexicon.nouns, lexicon.actions
+    auxiliaries = lexicon.form_words(PASSIVE_VOICE_CONCEPT)
+    participles = lexicon.form_words(PAST_PARTICIPLE_CONCEPT)
+    entity_ks: list[int] = []
+    action_ks: list[int] = []
+    passive = after_auxiliary = False
+    for k, word in enumerate(s.tokens):
+        if word in nouns:
+            entity_ks.append(k)
+        if word in actions:
+            action_ks.append(k)
+        if after_auxiliary and word in participles:
+            passive = True
+        if word in auxiliaries:
+            after_auxiliary = True
     if len(entity_ks) < 2 or not action_ks or not entity_ks[0] < action_ks[0] < entity_ks[1]:
         raise UnrecognizedTemplate(f"{s.id}: not an active-transitive or passive sentence")
-    auxiliaries = _indices(s, lexicon.form_words(PASSIVE_VOICE_CONCEPT))
-    participles = _indices(s, lexicon.form_words(PAST_PARTICIPLE_CONCEPT))
-    if any(i < j for i in auxiliaries for j in participles):
-        return PASSIVE
-    return ACTIVE
+    direct = EventTerm(actions[s.tokens[action_ks[0]]],
+                       nouns[s.tokens[entity_ks[0]]], nouns[s.tokens[entity_ks[1]]])
+    return DirRev(direct, direct.reversed()), PASSIVE if passive else ACTIVE
 
 
 def correct_meaning(dr: DirRev, voice: str) -> EventTerm:
@@ -214,9 +207,10 @@ def interpret_paragraph(p: ParagraphEncoding, profile: LearnerProfile,
     state = fresh_state(kb)
     results: list[ExtractedMeaning] = []
     for step, s in enumerate(p.sentences, 1):
-        voice = voice_of(s, full_lexicon)
+        surface, voice = surface_dir_rev(s, full_lexicon)
         model = enumerate_p1_models(s, profile)[0]
         event, strategy = extract_with_model(model, s, voice, profile, state, kb)
-        results.append(ExtractedMeaning(s.id, event, strategy, step))
+        correct = None if event is None else event == correct_meaning(surface, voice)
+        results.append(ExtractedMeaning(s.id, event, strategy, step, correct))
         state = apply_effects(state, event, kb)
     return tuple(results)

@@ -105,10 +105,10 @@ def position_of(k: int, sentence: SentenceEncoding, n: int = 2) -> str:
 
 
 def read_text(path: str | os.PathLike[str]) -> str:
-    """The contents of a UTF-8 input file; other bytes raise `ParseError`
-    naming the file."""
+    """The contents of a UTF-8 input file, without a leading byte-order mark;
+    other bytes raise `ParseError` naming the file."""
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read()
+            return f.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None

@@ -32,7 +32,6 @@ from inputproc import (
     parse_world,
     surface_dir_rev,
     unlikely,
-    voice_of,
 )
 from inputproc.lexicon import LEAF_CATEGORIES
 from inputproc.principle2 import extract_with_model
@@ -46,7 +45,7 @@ def atom(k, category, name, kind="sem"):
 
 
 def correctness(meaning, s, lexicon):
-    truth = correct_meaning(surface_dir_rev(s, lexicon), voice_of(s, lexicon))
+    truth = correct_meaning(*surface_dir_rev(s, lexicon))
     return meaning.event == truth
 
 
@@ -190,12 +189,12 @@ def test_criterion_6_invariant_suites(grammar, kb, lexicon, advanced, beginner):
     # the advanced learner is right on every grammar sentence
     for s in grammar:
         (m,) = interpret_paragraph(encode_text(s.text() + "."), advanced, kb, lexicon)
-        assert m.event == correct_meaning(surface_dir_rev(s, lexicon), voice_of(s, lexicon))
+        assert m.event == correct_meaning(*surface_dir_rev(s, lexicon))
 
     # meaning extraction does not depend on the chosen interpretation
     state = fresh_state(kb)
     for s in grammar:
-        voice = voice_of(s, lexicon)
+        _, voice = surface_dir_rev(s, lexicon)
         for profile in (advanced, beginner):
             outcomes = {
                 extract_with_model(model, s, voice, profile, state, kb)
@@ -209,7 +208,7 @@ def test_criterion_6_invariant_suites(grammar, kb, lexicon, advanced, beginner):
     )
     for s in grammar:
         (m,) = interpret_paragraph(encode_text(s.text() + "."), beginner, neutral, lexicon)
-        direct = surface_dir_rev(s, lexicon).direct
+        direct = surface_dir_rev(s, lexicon)[0].direct
         assert m.event == direct, s.text()
     print(f"\nPASS criterion 6: invariant suites over {len(grammar)} grammar sentences")
 

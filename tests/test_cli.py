@@ -151,6 +151,25 @@ def test_structured_interpret_fields(capsys, text_file):
     ]
 
 
+@pytest.mark.parametrize("argv", [["interpret", "--learner", "beginner"],
+                                  ["interpret", "--learner", "advanced"], ["check"]])
+def test_each_sentence_gets_one_surface_pass(capsys, monkeypatch, text_file, argv):
+    original = inputproc.principle2.surface_dir_rev
+    analysed = []
+
+    def counted(s, full_lexicon):
+        analysed.append(s.id)
+        return original(s, full_lexicon)
+
+    # every module that imported the function calls it through its own name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("inputproc") and getattr(module, "surface_dir_rev", None) is original:
+            monkeypatch.setattr(module, "surface_dir_rev", counted)
+    code, out, _ = run(capsys, *argv, "--text", text_file(STORIES["push_then_bite"]))
+    assert code == 0 and out
+    assert analysed == ["s1", "s2"]
+
+
 def test_missing_text_flag_is_a_usage_error(capsys):
     code, _, err = run(capsys, "interpret")
     assert code == 1
@@ -285,3 +304,34 @@ def test_non_utf8_input_file_is_a_parse_error(capsys, text_file, tmp_path, flag)
     code, out, err = run(capsys, "check", *argv)
     assert code == 2 and out == ""
     assert err == f"inputproc: error: {bad}: not UTF-8 text (byte 10)\n"
+
+
+@pytest.mark.parametrize("flag", ["--text", "--lexicon", "--world"])
+def test_byte_order_mark_is_not_part_of_the_input(capsys, tmp_path, flag):
+    def shipped(name):
+        with open(os.path.join(os.path.dirname(inputproc.__file__), "data", name),
+                  encoding="utf-8") as f:
+            return f.read()
+
+    contents = {"--text": SINGLE_SENTENCES["boxers"], "--lexicon": shipped("lexicon.tsv"),
+                "--world": "# my world\n" + shipped("world.tsv")}
+
+    def check(marked_flag):
+        argv = ["check"]
+        for name, content in contents.items():
+            path = tmp_path / f"{name.lstrip('-')}-{marked_flag == name}"
+            path.write_text("\ufeff" * (marked_flag == name) + content, encoding="utf-8")
+            argv += [name, str(path)]
+        return run(capsys, *argv)
+
+    plain = check(None)
+    assert plain[0] == 0 and plain[1].startswith("valuable(s1) = false")
+    assert check(flag) == plain
+
+
+def test_byte_order_mark_keeps_the_offset_of_a_bad_byte(capsys, tmp_path):
+    bad = tmp_path / "bom_latin1.txt"
+    bad.write_bytes(b"\xef\xbb\xbf" + "Le chat a été mordu.".encode("latin-1"))
+    code, out, err = run(capsys, "check", "--text", str(bad))
+    assert code == 2 and out == ""
+    assert err == f"inputproc: error: {bad}: not UTF-8 text (byte 13)\n"

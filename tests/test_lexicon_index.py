@@ -24,7 +24,6 @@ from inputproc import (
     parse_lexicon,
     schemas,
     surface_dir_rev,
-    voice_of,
 )
 from inputproc.cli import main
 
@@ -122,7 +121,6 @@ def test_public_functions_accept_a_plain_frozenset(grammar, kb, lexicon):
             assert (interpret_paragraph(p, make(plain), kb, plain)
                     == interpret_paragraph(p, make(lexicon), kb, lexicon))
         for s in p.sentences:
-            assert voice_of(s, plain) == voice_of(s, lexicon)
             assert surface_dir_rev(s, plain) == surface_dir_rev(s, lexicon)
     s = grammar[0]
     assert enumerate_p1_models(s, advanced_profile(plain)) == enumerate_p1_models(s, advanced_profile(lexicon))

@@ -17,7 +17,6 @@ from inputproc import (
     parse_lexicon,
     schemas,
     surface_dir_rev,
-    voice_of,
 )
 
 from conftest import SINGLE_SENTENCES, STORIES, sentence
@@ -111,7 +110,7 @@ def test_verdicts_agree_with_the_beginner_route(grammar, kb, lexicon):
     for s in grammar:
         verdict = check_sentence(s, kb, fresh_state(kb), lexicon)
         (m,) = interpret_paragraph(encode_text(s.text() + "."), beginner, kb, lexicon)
-        truth = correct_meaning(surface_dir_rev(s, lexicon), voice_of(s, lexicon))
+        truth = correct_meaning(*surface_dir_rev(s, lexicon))
         assert verdict.valuable == (m.event != truth)
 
 

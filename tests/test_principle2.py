@@ -27,11 +27,12 @@ from inputproc import (
     interpret_paragraph,
     parse_world,
     surface_dir_rev,
-    voice_of,
 )
 from inputproc.principle2 import extract_with_model
 
 from conftest import SINGLE_SENTENCES, STORIES, sentence
+
+NOT_A_TEMPLATE = "^s1: not an active-transitive or passive sentence$"
 
 
 def beginner_model(s, beginner):
@@ -58,19 +59,19 @@ def test_discourse_words_never_join_events(beginner):
 
 
 def test_voice_classification(lexicon, cat_bitten):
-    assert voice_of(cat_bitten, lexicon) == PASSIVE
-    assert voice_of(sentence("The cat pushed the dog."), lexicon) == ACTIVE
-    assert voice_of(sentence("Holyfield was bitten by Tyson."), lexicon) == PASSIVE
+    assert surface_dir_rev(cat_bitten, lexicon)[1] == PASSIVE
+    assert surface_dir_rev(sentence("The cat pushed the dog."), lexicon)[1] == ACTIVE
+    assert surface_dir_rev(sentence("Holyfield was bitten by Tyson."), lexicon)[1] == PASSIVE
 
 
 def test_word_salad_is_not_a_template(lexicon):
-    with pytest.raises(UnrecognizedTemplate):
-        voice_of(sentence("cat dog the."), lexicon)
+    with pytest.raises(UnrecognizedTemplate, match=NOT_A_TEMPLATE):
+        surface_dir_rev(sentence("cat dog the."), lexicon)
 
 
 def test_verb_outside_the_noun_pair_is_not_a_template(lexicon):
-    with pytest.raises(UnrecognizedTemplate):
-        voice_of(sentence("pushed the cat the dog."), lexicon)
+    with pytest.raises(UnrecognizedTemplate, match=NOT_A_TEMPLATE):
+        surface_dir_rev(sentence("pushed the cat the dog."), lexicon)
 
 
 def test_correct_meaning_by_voice():
@@ -144,7 +145,7 @@ def test_advanced_learner_reads_the_passive_correctly(kb, lexicon, advanced):
 
 
 def test_surface_reading_matches_learner_reading(lexicon, cat_bitten, beginner):
-    surface = surface_dir_rev(cat_bitten, lexicon)
+    surface, _ = surface_dir_rev(cat_bitten, lexicon)
     learner = dir_rev_m(beginner_model(cat_bitten, beginner), cat_bitten)
     assert surface == learner
 
@@ -174,13 +175,25 @@ def test_advanced_learner_is_correct_on_every_grammar_sentence(grammar, kb, lexi
     for s in grammar:
         (m,) = interpret_paragraph(encode_text(s.text() + "."), advanced, kb, lexicon)
         assert m.strategy == GRM_CUES
-        assert m.event == correct_meaning(surface_dir_rev(s, lexicon), voice_of(s, lexicon))
+        assert m.event == correct_meaning(*surface_dir_rev(s, lexicon))
+
+
+def test_each_meaning_says_whether_it_is_the_encoded_event(grammar, kb, lexicon, advanced,
+                                                           beginner):
+    starved = beginner_profile(lexicon, capacity=1)
+    for s in grammar:
+        truth = correct_meaning(*surface_dir_rev(s, lexicon))
+        for profile in (advanced, beginner):
+            (m,) = interpret_paragraph(encode_text(s.text() + "."), profile, kb, lexicon)
+            assert m.correct is (m.event == truth)
+        (m,) = interpret_paragraph(encode_text(s.text() + "."), starved, kb, lexicon)
+        assert m.event is None and m.correct is None
 
 
 def test_extraction_is_independent_of_the_chosen_model(grammar, kb, lexicon, advanced, beginner):
     state = fresh_state(kb)
     for s in grammar:
-        voice = voice_of(s, lexicon)
+        _, voice = surface_dir_rev(s, lexicon)
         for profile in (advanced, beginner):
             outcomes = {
                 extract_with_model(model, s, voice, profile, state, kb)

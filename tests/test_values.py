@@ -48,7 +48,8 @@ VALUES = [
     (CandidateMeaning, dict(k=2, category="content_words", concept=CAT, consumed=0, gated=True)),
     (P1Model, dict(atoms=frozenset({ATOM}), skipped=frozenset())),
     (DirRev, dict(direct=BITE, reverse=BITE.reversed())),
-    (ExtractedMeaning, dict(sentence="s1", event=BITE, strategy="fnp_default", step=1)),
+    (ExtractedMeaning, dict(sentence="s1", event=BITE, strategy="fnp_default", step=1,
+                            correct=False)),
     (ValuableVerdict, dict(target="s1", valuable=True, fnp_event=BITE, cue_event=BITE.reversed(),
                            explanation=("fnp_default", "grm_cues"))),
     (Schema, dict(n1="cat", v="bitten", n2="dog")),
