@@ -2,6 +2,8 @@
 controlled-English input, with a screener and generator for Processing
 Instruction teaching materials."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DuplicateEntry,
     EmptySentence,
@@ -67,7 +69,6 @@ from .pias import (
     check_paragraph,
     check_sentence,
     generate_valuable,
-    paragraph_valuable,
     schemas,
 )
 from .text import (
@@ -96,4 +97,5 @@ from .world import (
     unlikely,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

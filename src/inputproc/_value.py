@@ -45,7 +45,6 @@ def value_class(cls):
     namespace = {"_set": object.__setattr__, "_defaults": defaults, "__name__": cls.__module__}
     exec(source, namespace)
     for name in ("__init__", "__eq__", "__hash__"):
-        namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, namespace[name])
     cls.__repr__, cls.__setattr__, cls.__delattr__ = _repr, _setattr, _delattr
     cls.__match_args__ = names

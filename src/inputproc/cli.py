@@ -27,7 +27,7 @@ from .principle2 import (
     interpret_paragraph,
     strategy_family,
 )
-from .pias import ValuableVerdict, check_paragraph, generate_valuable, paragraph_valuable
+from .pias import ValuableVerdict, check_paragraph, generate_valuable
 from .text import ParagraphEncoding, encode_text, read_text
 from .world import KnowledgeBase, default_world, parse_world
 
@@ -38,27 +38,26 @@ EXIT_TEMPLATE = 3
 
 TEXT_FORMAT = "text"
 STRUCTURED_FORMAT = "structured"
+LEARNER_COMMANDS = ("p1map", "interpret")  # `check` and `generate` use a fixed learner
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="inputproc", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_text in (("p1map", True), ("interpret", True),
-                             ("check", True), ("generate", False)):
+    for name in ("p1map", "interpret", "check", "generate"):
         cmd = sub.add_parser(name)
-        cmd.add_argument("--learner", choices=("beginner", "advanced"), default="advanced")
-        cmd.add_argument("--capacity", type=int, default=11,
-                         help="resource capacity per sentence (default 11)")
-        cmd.add_argument("--n", type=int, default=2,
-                         help="words counted as sentence-initial/final (default 2)")
+        if name in LEARNER_COMMANDS:
+            cmd.add_argument("--learner", choices=("beginner", "advanced"), default="advanced")
+            cmd.add_argument("--capacity", type=int, default=11,
+                             help="resource capacity per sentence (default 11)")
+            cmd.add_argument("--n", type=int, default=2,
+                             help="words counted as sentence-initial/final (default 2)")
+        if name != "generate":
+            cmd.add_argument("--text", required=True, help="input text file, one paragraph")
         cmd.add_argument("--lexicon", help="lexicon TSV (default: shipped vocabulary)")
         cmd.add_argument("--world", help="world TSV (default: shipped knowledge base)")
         cmd.add_argument("--format", choices=(TEXT_FORMAT, STRUCTURED_FORMAT), default=TEXT_FORMAT)
-        if needs_text:
-            cmd.add_argument("--text", required=True, help="input text file, one paragraph")
-        else:
-            cmd.add_argument("--text", help="ignored by this command")
     return parser
 
 
@@ -141,7 +140,7 @@ def build_records(args: argparse.Namespace, paragraph: ParagraphEncoding | None,
     if args.command == "check":
         verdicts = check_paragraph(paragraph, kb, lexicon)
         return [*(("verdict", v) for v in verdicts),
-                ("paragraph", paragraph.id, paragraph_valuable(verdicts))]
+                ("paragraph", paragraph.id, any(v.valuable for v in verdicts))]
     maker = beginner_profile if args.learner == "beginner" else advanced_profile
     profile = maker(lexicon, args.capacity, args.n)
     if args.command == "interpret":
@@ -178,10 +177,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on a usage problem, which this program reports as 1
         return EXIT_USAGE if exc.code else EXIT_OK
-    if args.capacity < 0:
-        return _fail("--capacity must be >= 0", EXIT_USAGE)
-    if args.n < 1:
-        return _fail("--n must be >= 1", EXIT_USAGE)
+    if args.command in LEARNER_COMMANDS:
+        if args.capacity < 0:
+            return _fail("--capacity must be >= 0", EXIT_USAGE)
+        if args.n < 1:
+            return _fail("--n must be >= 1", EXIT_USAGE)
 
     try:
         kb = _parse_file(args.world, parse_world) if args.world else default_world()

@@ -31,7 +31,6 @@ NM_FORMS = "nm_forms"
 R_M_FORMS = "r_m_forms"
 NR_M_FORMS = "nr_m_forms"
 
-CATEGORIES = (WORDS, CONTENT_WORDS, FORMS, M_FORMS, NM_FORMS, R_M_FORMS, NR_M_FORMS)
 LEAF_CATEGORIES = (CONTENT_WORDS, NR_M_FORMS, R_M_FORMS, NM_FORMS)
 
 _CHILDREN = {
@@ -109,10 +108,10 @@ class Lexicon(frozenset):
         set_slot(self, "_verbs", tuple(sorted(self.form_words(PAST_PARTICIPLE_CONCEPT) & actions.keys())))
         return self
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    __delattr__ = __setattr__
+    __delattr__ = __setattr__  # called without a value
 
     def __reduce__(self):
         # Copies and pickles rebuild the index from the entries rather than
@@ -225,7 +224,6 @@ def parse_lexicon(text: str, kb: KnowledgeBase | None = None) -> Lexicon:
     """
     entries: set[LexEntry] = set()
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")

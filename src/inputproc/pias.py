@@ -95,10 +95,6 @@ def check_paragraph(p: ParagraphEncoding, kb: KnowledgeBase,
     return tuple(verdicts)
 
 
-def paragraph_valuable(verdicts: tuple[ValuableVerdict, ...]) -> bool:
-    return any(v.valuable for v in verdicts)
-
-
 def schemas(lexicon: frozenset[LexEntry]) -> tuple[Schema, ...]:
     """Every schema instantiation over the vocabulary, noun pairs with
     distinct referents only, in lexicographic order."""

@@ -47,7 +47,6 @@ LEX_SEM_2A = "lex_sem_2a"
 EVENT_PROB_2B = "event_prob_2b"
 PRIOR_KNOWLEDGE_2D = "prior_knowledge_2d"
 GRM_CUES = "grm_cues"
-STRATEGIES = (FNP_DEFAULT, LEX_SEM_2A, EVENT_PROB_2B, PRIOR_KNOWLEDGE_2D, GRM_CUES)
 
 
 def strategy_family(strategy: str) -> str:
@@ -87,14 +86,10 @@ def dir_rev_m(model: P1Model, s: SentenceEncoding) -> DirRev:
         (a for a in model.atoms if a.concept.kind == ENTITY),
         key=lambda a: (a.k, a.concept.name),
     )
-    nouns: list[str] = []
-    seen_k: set[int] = set()
+    first_entity: dict[int, str] = {}  # word index -> its first entity name
     for atom in entity_atoms:
-        if atom.k not in seen_k:
-            seen_k.add(atom.k)
-            nouns.append(atom.concept.name)
-        if len(nouns) == 2:
-            break
+        first_entity.setdefault(atom.k, atom.concept.name)
+    nouns = list(first_entity.values())
     actions = sorted(
         (a for a in model.atoms if a.concept.kind == ACTION),
         key=lambda a: (a.k, a.concept.name),

@@ -50,6 +50,10 @@ class ParagraphEncoding:
     sentences: tuple[SentenceEncoding, ...]
 
 
+# Every sentence delimiter becomes '.', so that one split finds the sentences.
+_TO_PERIOD = str.maketrans(SENTENCE_DELIMITERS, "." * len(SENTENCE_DELIMITERS))
+
+
 def _clean_tokens(chunk: str) -> list[str]:
     tokens = [t.strip(TOKEN_PUNCTUATION).lower() for t in chunk.split()]
     return [t for t in tokens if t]
@@ -62,27 +66,13 @@ def encode_text(raw: str, paragraph_id: str = "p") -> ParagraphEncoding:
     lowercased, and stripped of surrounding punctuation. A trailing fragment
     without a terminal delimiter still counts as a sentence.
     """
-    sentences: list[SentenceEncoding] = []
-    buffer: list[str] = []
-
-    def close(chunk: str, delimited: bool) -> None:
-        tokens = _clean_tokens(chunk)
-        if not tokens:
-            if delimited:
-                raise EmptySentence("sentence delimiter encloses zero tokens")
-            return
-        sentences.append(SentenceEncoding(f"s{len(sentences) + 1}", tuple(tokens)))
-
-    for ch in raw:
-        if ch in SENTENCE_DELIMITERS:
-            close("".join(buffer), delimited=True)
-            buffer = []
-        else:
-            buffer.append(ch)
-    close("".join(buffer), delimited=False)
-
-    if not sentences:
+    *delimited, last = map(_clean_tokens, raw.translate(_TO_PERIOD).split("."))
+    if not all(delimited):
+        raise EmptySentence("sentence delimiter encloses zero tokens")
+    token_lists = [*delimited, last] if last else delimited
+    if not token_lists:
         raise EmptyText("no token survives tokenization")
+    sentences = [SentenceEncoding(f"s{i}", tuple(tokens)) for i, tokens in enumerate(token_lists, 1)]
     return ParagraphEncoding(paragraph_id, tuple(sentences))
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -170,21 +171,60 @@ def test_each_sentence_gets_one_surface_pass(capsys, monkeypatch, text_file, arg
     assert analysed == ["s1", "s2"]
 
 
-def test_missing_text_flag_is_a_usage_error(capsys):
-    code, _, err = run(capsys, "interpret")
-    assert code == 1
-    assert "required" in err
+@pytest.mark.parametrize("command", ["p1map", "interpret", "check"])
+def test_missing_text_flag_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, command)
+    assert code == 1 and out == ""
+    assert "the following arguments are required: --text" in err
 
 
 def test_bad_flag_values_are_usage_errors(capsys, text_file):
     path = text_file(SINGLE_SENTENCES["cat_bitten"])
-    assert run(capsys, "p1map", "--text", path, "--capacity", "-2")[0] == 1
-    assert run(capsys, "p1map", "--text", path, "--n", "0")[0] == 1
+    for command in ("p1map", "interpret"):
+        assert run(capsys, command, "--text", path, "--capacity", "-2") == (
+            1, "", "inputproc: error: --capacity must be >= 0\n")
+        assert run(capsys, command, "--text", path, "--n", "0") == (
+            1, "", "inputproc: error: --n must be >= 1\n")
     assert run(capsys, "p1map", "--text", path, "--learner", "expert")[0] == 1
+
+
+@pytest.mark.parametrize("command", ["p1map", "interpret"])
+def test_smallest_flag_values_are_accepted(capsys, text_file, command):
+    path = text_file(SINGLE_SENTENCES["cat_bitten"])
+    assert run(capsys, command, "--text", path, "--capacity", "0")[0] == 0
+    assert run(capsys, command, "--text", path, "--n", "1")[0] == 0
+
+
+def test_default_capacity_is_eleven(capsys, text_file):
+    # This sentence maps 10 atoms at capacity 11 and 12 at capacity 12.
+    path = text_file("Then, the dog was pushed by the cat.")
+    default = run(capsys, "p1map", "--text", path)
+    assert default == run(capsys, "p1map", "--text", path, "--capacity", "11")
+    assert default != run(capsys, "p1map", "--text", path, "--capacity", "12")
+    assert default[1].count("map(") == 10
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--learner", "beginner"], ["check", "--capacity", "3"], ["check", "--n", "1"],
+    ["generate", "--learner", "beginner"], ["generate", "--capacity", "3"], ["generate", "--n", "1"],
+    ["generate", "--text", "input.txt"],
+])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, text_file, argv):
+    if argv[0] == "check":
+        argv = [*argv, "--text", text_file(SINGLE_SENTENCES["cat_bitten"])]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_unknown_command_is_a_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 1
+
+
+def test_missing_command_is_a_usage_error(capsys):
+    code, out, err = run(capsys)
+    assert code == 1 and out == ""
+    assert "the following arguments are required: command" in err
 
 
 def test_missing_input_file_is_a_parse_error(capsys):
@@ -292,6 +332,15 @@ def test_import_loads_no_heavy_standard_modules():
     heavy = {"dataclasses", "inspect", "importlib.resources", "tempfile", "zipfile"}
     assert "inputproc.cli" in loaded
     assert heavy.isdisjoint(loaded)
+
+
+def test_star_import_binds_the_public_names_and_no_module():
+    names = {}
+    exec("from inputproc import *", names)
+    del names["__builtins__"]
+    assert {"encode_text", "check_paragraph", "Lexicon", "InputProcError", "PASSIVE"} <= names.keys()
+    assert not any(name.startswith("_") or isinstance(value, types.ModuleType)
+                   for name, value in names.items())
 
 
 @pytest.mark.parametrize("flag", ["--text", "--lexicon", "--world"])

@@ -63,10 +63,14 @@ worlds = st.none() | raw | shipped_with_edits("world.tsv")
 def test_arbitrary_files_exit_with_a_documented_code(command, text, lexicon, world,
                                                      learner, capacity, structured):
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [command, "--learner", learner, "--capacity", str(capacity)]
+        argv = [command]
+        if command in ("p1map", "interpret"):
+            argv += ["--learner", learner, "--capacity", str(capacity)]
         if structured:
             argv += ["--format", "structured"]
-        for flag, content in (("--text", text), ("--lexicon", lexicon), ("--world", world)):
+        files = (("--text", None if command == "generate" else text),
+                 ("--lexicon", lexicon), ("--world", world))
+        for flag, content in files:
             if content is not None:
                 path = os.path.join(tmp, flag.strip("-"))
                 with open(path, "wb") as f:

@@ -31,6 +31,7 @@ TEXTS = {
     "not_transitive": "cat dog the.",
     "verb_last": "The cat the dog pushed.",
     "kit_bitten": "The kit was bitten by the dog. Then, the dog was pushed by the kit.",
+    "then_pushed": "Then, the dog was pushed by the cat.",
 }
 GRAMMAR_TEXTS = [*SINGLE_SENTENCES, *STORIES]
 
@@ -48,6 +49,14 @@ INPUT_FILES = {
     **{f"{name}.txt": text + "\n" for name, text in TEXTS.items()},
 }
 COMMA = ["--lexicon", "comma_lexicon.tsv", "--world", "comma_world.tsv"]
+
+# Extra discourse readings of one word crowd the checker's fixed capacity (11)
+# and position window (2): with 9 more readings of "then" no noun of
+# "then_pushed" clears the gate, and 4 more of "the" still leave both nouns.
+INPUT_FILES.update({
+    "then_lexicon.tsv": _shipped("lexicon.tsv") + "".join(f"then\tcontent\tdisc:t{i}\n" for i in range(9)),
+    "the_lexicon.tsv": _shipped("lexicon.tsv") + "".join(f"the\tcontent\tdisc:d{i}\n" for i in range(4)),
+})
 
 
 def cases():
@@ -73,6 +82,9 @@ def cases():
     out["p1map"]["comma"] = ["p1map", "--text", "kit_bitten.txt", *COMMA]
     out["check"]["comma"] = ["check", "--text", "kit_bitten.txt", *COMMA]
     out["generate"]["comma"] = ["generate", *COMMA]
+    for word in ("then", "the"):
+        out["check"][f"{word}_readings"] = [
+            "check", "--text", "then_pushed.txt", "--lexicon", f"{word}_lexicon.tsv"]
     return out
 
 

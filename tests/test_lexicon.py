@@ -83,6 +83,11 @@ def test_words_keep_inner_punctuation():
     assert {e.word for e in parse_lexicon("o,k\tcontent\tentity:x\ne:g\tcontent\tentity:y")} == {"o,k", "e:g"}
 
 
+def test_concept_without_a_name_rejected():
+    with pytest.raises(ParseError, match="^line 1: concept must be kind:name with a known kind, got 'sem:'$"):
+        parse_lexicon("was\tnr_m_form\tsem:")
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_lexicon("cat\tcontent\tentity:cat\nbad row")
@@ -182,6 +187,8 @@ def test_profiles(lexicon):
     adv = advanced_profile(lexicon)
     assert adv.lexicon == lexicon
     assert adv.capacity == 11 and adv.n == 2
+    beg = beginner_profile(lexicon)
+    assert beg.capacity == 11 and beg.n == 2
 
 
 def test_shipped_vocabulary_is_lowercase(lexicon):

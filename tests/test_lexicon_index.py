@@ -72,6 +72,8 @@ def test_a_word_with_two_entity_readings_names_the_first():
 def test_lexicon_is_immutable(lexicon):
     with pytest.raises(AttributeError):
         lexicon._nouns = {}
+    with pytest.raises(AttributeError, match="^Lexicon is immutable$"):
+        del lexicon._readings
     with pytest.raises(TypeError):
         lexicon.nouns["cat"] = "dog"
 
@@ -126,6 +128,25 @@ def test_public_functions_accept_a_plain_frozenset(grammar, kb, lexicon):
     assert enumerate_p1_models(s, advanced_profile(plain)) == enumerate_p1_models(s, advanced_profile(lexicon))
     assert schemas(plain) == schemas(lexicon)
     assert generate_valuable(kb, plain) == generate_valuable(kb, lexicon)
+
+
+def test_a_plain_frozenset_is_indexed_once_per_call(monkeypatch, kb, lexicon):
+    plain = frozenset(lexicon)
+    story = encode_text(STORIES["push_then_bite"])
+    profile = advanced_profile(lexicon)
+    built = []
+    original = Lexicon.__new__
+
+    def counted(cls, entries=()):
+        built.append(cls)
+        return original(cls, entries)
+
+    monkeypatch.setattr(Lexicon, "__new__", counted)
+    for call in (lambda: generate_valuable(kb, plain), lambda: check_paragraph(story, kb, plain),
+                 lambda: interpret_paragraph(story, profile, kb, plain)):
+        built.clear()
+        call()
+        assert built == [Lexicon]
 
 
 def _shipped(name):

@@ -13,7 +13,6 @@ from inputproc import (
     fresh_state,
     generate_valuable,
     interpret_paragraph,
-    paragraph_valuable,
     parse_lexicon,
     schemas,
     surface_dir_rev,
@@ -45,14 +44,14 @@ def test_rescued_sentences_are_not_valuable(kb, lexicon):
 def test_story_with_a_trapped_second_sentence(kb, lexicon):
     verdicts = check_paragraph(encode_text(STORIES["push_then_bite"]), kb, lexicon)
     assert [v.valuable for v in verdicts] == [False, True]
-    assert paragraph_valuable(verdicts)
+    assert any(v.valuable for v in verdicts)
 
 
 def test_story_rescued_by_context(kb, lexicon):
     verdicts = check_paragraph(encode_text(STORIES["kill_then_push"]), kb, lexicon)
     assert [v.valuable for v in verdicts] == [False, False]
     assert verdicts[1].explanation[0] == LEX_SEM_2A
-    assert not paragraph_valuable(verdicts)
+    assert not any(v.valuable for v in verdicts)
 
 
 def test_single_sentence_paragraph_reduces_to_the_sentence_check(kb, lexicon):

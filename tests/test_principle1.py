@@ -116,6 +116,13 @@ def test_candidate_meanings_report_gate(cat_bitten, lexicon):
     assert by_key[(5, R_M_FORMS, "agency")] == 9
 
 
+def test_candidates_come_in_canonical_order(cat_bitten, advanced):
+    keys = [(c.k, c.category, c.concept.kind, c.concept.name)
+            for c in candidate_meanings(cat_bitten, advanced)]
+    assert keys == sorted(keys)
+    assert [k for k, *_ in keys] == [1, 2, 2, 3, 3, 3, 4, 4, 5, 6, 7]
+
+
 def test_deterministic_maps_small_capacities(cat_bitten, lexicon):
     assert deterministic_maps(cat_bitten, advanced_profile(lexicon, 0)) == frozenset()
     assert deterministic_maps(cat_bitten, advanced_profile(lexicon, 3)) == frozenset(CONTENT_ATOMS.values())
@@ -211,6 +218,28 @@ def test_skipped_atom_keeps_the_atom_that_delivers_its_concept():
     assert [m.skipped for m in models] == [
         frozenset(), frozenset({atom(1, R_M_FORMS, SEM, "y")}), frozenset({atom(2, NR_M_FORMS, SEM, "y")})]
     assert {model_key(m) for m in models} == brute_force_models(["a", "b"], entry_tuples(lexicon), 4, 1)
+
+
+def test_models_are_ordered_lexicographically_on_the_skipped_atoms():
+    # "b" and "c" each repeat the concept of the more likely "a", so either,
+    # both or neither may be skipped; (b) < (b, c) < (c).
+    lexicon = [LexEntry("a", NR_M_FORMS, Concept(SEM, "y")), LexEntry("b", R_M_FORMS, Concept(SEM, "y")),
+               LexEntry("c", R_M_FORMS, Concept(SEM, "y"))]
+    s = SentenceEncoding("s1", ("a", "b", "c"))
+    b, c = atom(2, R_M_FORMS, SEM, "y"), atom(3, R_M_FORMS, SEM, "y")
+    models = enumerate_p1_models(s, advanced_profile(lexicon, 11, 1))
+    assert [m.skipped for m in models] == [frozenset(), frozenset({b}), frozenset({b, c}), frozenset({c})]
+
+
+def test_equally_likely_readings_do_not_deliver_to_each_other():
+    # "b" and "c" are both medial redundant forms of y: neither is strictly
+    # more likely, so neither may be skipped.
+    lexicon = [LexEntry("b", R_M_FORMS, Concept(SEM, "y")), LexEntry("c", R_M_FORMS, Concept(SEM, "y"))]
+    s = SentenceEncoding("s1", ("a", "b", "c", "d"))
+    profile = advanced_profile(lexicon, 11, 1)
+    assert skippable(deterministic_maps(s, profile), s, profile) == frozenset()
+    (model,) = enumerate_p1_models(s, profile)
+    assert {model_key(model)} == brute_force_models(list(s.tokens), entry_tuples(lexicon), 11, 1)
 
 
 def test_model_count_is_two_to_the_skippable(cat_bitten, lexicon):

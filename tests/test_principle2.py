@@ -25,6 +25,7 @@ from inputproc import (
     fresh_state,
     grm_cues_available,
     interpret_paragraph,
+    parse_lexicon,
     parse_world,
     surface_dir_rev,
 )
@@ -52,6 +53,22 @@ def test_sparse_mapping_has_no_reading(cat_bitten):
         dir_rev_m(model, cat_bitten)
 
 
+def test_one_entity_and_an_action_have_no_reading(cat_bitten):
+    model = P1Model(frozenset({MapAtom(2, "s1", "content_words", Concept("entity", "cat")),
+                               MapAtom(4, "s1", "content_words", Concept("action", "bite"))}),
+                    frozenset())
+    with pytest.raises(NoInterpretation, match="^s1: mapping names 1 entities and 1 actions$"):
+        dir_rev_m(model, cat_bitten)
+
+
+def test_a_word_with_two_entity_readings_is_one_noun(lexicon, cat_bitten):
+    # "cat" names the alphabetically first of its entities, and "dog" stays
+    # the second noun.
+    homograph = parse_lexicon("cat\tcontent\tentity:ball") | lexicon
+    dr = dir_rev_m(beginner_model(cat_bitten, beginner_profile(homograph)), cat_bitten)
+    assert dr.direct == EventTerm("bite", "ball", "dog")
+
+
 def test_discourse_words_never_join_events(beginner):
     s = encode_text(STORIES["kill_then_push"]).sentences[1]
     dr = dir_rev_m(beginner_model(s, beginner), s)
@@ -62,6 +79,17 @@ def test_voice_classification(lexicon, cat_bitten):
     assert surface_dir_rev(cat_bitten, lexicon)[1] == PASSIVE
     assert surface_dir_rev(sentence("The cat pushed the dog."), lexicon)[1] == ACTIVE
     assert surface_dir_rev(sentence("Holyfield was bitten by Tyson."), lexicon)[1] == PASSIVE
+
+
+def test_auxiliary_without_a_later_participle_is_active(lexicon):
+    assert surface_dir_rev(sentence("The dog killed the cat that was there."), lexicon)[1] == ACTIVE
+
+
+@pytest.mark.parametrize("text", ["cat the dog.", "dog the cat."])
+def test_verb_on_a_noun_is_not_between_the_nouns(lexicon, text):
+    verb_cat = parse_lexicon("cat\tcontent\taction:push") | lexicon
+    with pytest.raises(UnrecognizedTemplate, match=NOT_A_TEMPLATE):
+        surface_dir_rev(sentence(text), verb_cat)
 
 
 def test_word_salad_is_not_a_template(lexicon):
@@ -95,6 +123,17 @@ def test_cue_availability_tracks_processed_forms(cat_bitten, lexicon, beginner):
     low = advanced_profile(lexicon, 3)
     assert not grm_cues_available(enumerate_p1_models(cat_bitten, low)[0], cat_bitten,
                                   PASSIVE, low)
+
+
+def test_passive_voice_alone_is_not_a_cue(kb, lexicon, cat_bitten):
+    # Without the participle reading of "bitten" the learner still processes
+    # "was" as passive voice, which is not enough to assign the roles.
+    learner = advanced_profile(lexicon - {e for e in lexicon if e.word == "bitten"
+                                          and e.concept == Concept("sem", "past_participle")})
+    model = enumerate_p1_models(cat_bitten, learner)[0]
+    assert Concept("sem", "passive_voice") in {a.concept for a in model.atoms}
+    (m,) = interpret_paragraph(encode_text(SINGLE_SENTENCES["cat_bitten"]), learner, kb, lexicon)
+    assert (m.event, m.strategy) == (EventTerm("bite", "cat", "dog"), FNP_DEFAULT)
 
 
 def test_first_noun_default_and_exceptions(kb, lexicon, beginner):

@@ -83,6 +83,11 @@ def test_positions_of_seven_word_sentence(cat_bitten):
     assert position_of(7, cat_bitten, 2) == FINAL
 
 
+def test_default_position_window_is_two(cat_bitten):
+    assert [position_of(k, cat_bitten) for k in range(1, 8)] == [
+        INITIAL, INITIAL, MEDIAL, MEDIAL, MEDIAL, FINAL, FINAL]
+
+
 def test_overlapping_windows_prefer_initial():
     s = sentence("cat pushed dog.")
     assert position_of(2, s, 2) == INITIAL

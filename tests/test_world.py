@@ -47,6 +47,12 @@ def test_malformed_world_rejected(text):
         parse_world(text)
 
 
+@pytest.mark.parametrize("row", ["entity", "entity\tdog\tanimate\textra"])
+def test_entity_row_with_a_wrong_field_count_names_its_line(row):
+    with pytest.raises(ParseError, match="^line 2: entity record takes a name and optional properties$"):
+        parse_world("entity\tcat\tanimate\n" + row)
+
+
 def test_unknown_action_in_world_file():
     with pytest.raises(UnknownAction) as excinfo:
         parse_world("entity\tcat\tanimate\nunlikely\tfly\t*\t*")
@@ -135,12 +141,29 @@ def test_killing_the_dead_changes_nothing_but_the_step(kb):
 
 def test_unknown_entity_and_action_rejected(kb):
     state = fresh_state(kb)
-    with pytest.raises(UnknownEntity):
-        impossible(EventTerm("bite", "ghost", "dog"), state, kb)
-    with pytest.raises(UnknownAction):
-        unlikely(EventTerm("fly", "cat", "dog"), state, kb)
-    with pytest.raises(UnknownEntity):
-        apply_effects(state, EventTerm("kill", "cat", "ghost"), kb)
+    calls = (lambda ev: impossible(ev, state, kb), lambda ev: unlikely(ev, state, kb),
+             lambda ev: apply_effects(state, ev, kb))
+    for call in calls:
+        with pytest.raises(UnknownEntity, match="^entity 'ghost' is not declared$"):
+            call(EventTerm("bite", "ghost", "dog"))
+        with pytest.raises(UnknownEntity, match="^entity 'ghost' is not declared$"):
+            call(EventTerm("kill", "cat", "ghost"))
+        with pytest.raises(UnknownAction, match="^action 'fly' is not one of"):
+            call(EventTerm("fly", "cat", "dog"))
+
+
+def test_unlikely_rule_constrains_the_patient():
+    kb = parse_world("entity\tman\tanimate,human\nentity\tcat\tanimate\nunlikely\tbite\t*\thuman\n")
+    state = fresh_state(kb)
+    assert unlikely(EventTerm("bite", "cat", "man"), state, kb) is True
+    assert unlikely(EventTerm("bite", "man", "cat"), state, kb) is False
+
+
+def test_predicates_that_do_not_hold_return_false(kb):
+    state = fresh_state(kb)
+    ev = EventTerm("bite", "cat", "dog")
+    assert impossible(ev, state, kb) is False
+    assert unlikely(ev, state, kb) is False
 
 
 def test_unlikely_never_overlaps_impossible_on_fresh_state(kb):
