@@ -43,7 +43,6 @@ from .principle1 import (
     candidate_meanings,
     deterministic_maps,
     enumerate_p1_models,
-    overhead,
     skippable,
 )
 from .principle2 import (
@@ -89,7 +88,6 @@ from .world import (
     WorldState,
     apply_effects,
     default_world,
-    fresh_state,
     hpd,
     impossible,
     load_world,

@@ -21,11 +21,11 @@ from .lexicon import LexEntry, advanced_profile, beginner_profile, default_lexic
 from .principle1 import atom_sort_key, enumerate_p1_models
 from .principle2 import (
     EVENT_PROB_2B,
+    GRM_CUES,
     LEX_SEM_2A,
     PRIOR_KNOWLEDGE_2D,
     ExtractedMeaning,
     interpret_paragraph,
-    strategy_family,
 )
 from .pias import ValuableVerdict, check_paragraph, generate_valuable
 from .text import ParagraphEncoding, encode_text, read_text
@@ -78,6 +78,11 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _strategy_family(strategy: str) -> str:
+    # Every First Noun Principle variant reports as 'fnp', cues as 'grm_cues'.
+    return GRM_CUES if strategy == GRM_CUES else "fnp"
+
+
 def _routes(v: ValuableVerdict, compact: bool = False) -> tuple[str, str]:
     """Each route's event, or '-' when the sentence has no interpretation."""
     return tuple("-" if ev is None else ev.compact() if compact else ev.render()
@@ -90,7 +95,7 @@ def _routes_text(v: ValuableVerdict) -> str:
 
 def _meaning_text(m: ExtractedMeaning) -> str:
     lines = [f"extr_m({m.event.render()}, {m.sentence})",
-             f"extr_m_by({m.sentence}, {strategy_family(m.strategy)})"]
+             f"extr_m_by({m.sentence}, {_strategy_family(m.strategy)})"]
     if m.strategy == LEX_SEM_2A:
         lines.append(f"impossible({m.event.reversed().render()}, {m.step})")
     elif m.strategy == EVENT_PROB_2B:
@@ -117,7 +122,7 @@ _FIELDS = {
                                 atom.concept.name),
     "no_meaning": lambda m: (m.sentence, str(m.step)),
     "meaning": lambda m: (m.sentence, str(m.step), m.event.action, m.event.agent, m.event.patient,
-                          m.strategy, strategy_family(m.strategy), "yes" if m.correct else "no"),
+                          m.strategy, _strategy_family(m.strategy), "yes" if m.correct else "no"),
     "verdict": lambda v: (v.target, _flag(v.valuable), *_routes(v, compact=True), *v.explanation),
     "paragraph": lambda pid, valuable: (pid, _flag(valuable)),
     "sentence": lambda text, v: (text, *_routes(v, compact=True)),

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import product
 
 from ._value import value_class
-from .errors import NoInterpretation
+from .errors import NoInterpretation, UnrecognizedTemplate
 from .lexicon import LexEntry, advanced_profile, as_lexicon
 from .principle1 import enumerate_p1_models
 from .principle2 import (
@@ -26,7 +26,7 @@ from .principle2 import (
     surface_dir_rev,
 )
 from .text import ParagraphEncoding, SentenceEncoding, encode_text
-from .world import EventTerm, KnowledgeBase, WorldState, apply_effects, fresh_state
+from .world import EventTerm, KnowledgeBase, WorldState, apply_effects
 
 CHECK_CAPACITY = 11
 CHECK_POSITION_WINDOW = 2
@@ -86,7 +86,7 @@ def check_paragraph(p: ParagraphEncoding, kb: KnowledgeBase,
     iff any sentence verdict is.
     """
     lexicon = as_lexicon(lexicon)
-    state = fresh_state(kb)
+    state = WorldState()
     verdicts = []
     for s in p.sentences:
         verdict = check_sentence(s, kb, state, lexicon)
@@ -109,13 +109,17 @@ def schemas(lexicon: frozenset[LexEntry]) -> tuple[Schema, ...]:
 
 def generate_valuable(kb: KnowledgeBase,
                       lexicon: frozenset[LexEntry]) -> tuple[tuple[str, ValuableVerdict], ...]:
-    """Render and check every schema sentence, keeping the valuable ones."""
+    """Render and check every schema sentence, keeping the valuable ones. A
+    sentence the checker cannot read as a template has no reading to value."""
     lexicon = as_lexicon(lexicon)
     out = []
     for schema in schemas(lexicon):
         text = schema.render()
         sentence = encode_text(text).sentences[0]
-        verdict = check_sentence(sentence, kb, fresh_state(kb), lexicon)
+        try:
+            verdict = check_sentence(sentence, kb, WorldState(), lexicon)
+        except UnrecognizedTemplate:
+            continue
         if verdict.valuable:
             out.append((text, verdict))
     return tuple(out)

@@ -86,7 +86,7 @@ def _likelihood_key(k: int, category: str, s: SentenceEncoding, n: int) -> tuple
     return _CATEGORY_RANK[category], _POSITION_RANK[position_of(k, s, n)]
 
 
-def overhead(category: str) -> int:
+def _overhead(category: str) -> int:
     """Sentence-level resource surcharge: redundant meaningful and
     nonmeaningful forms wait for overall sentential meaning first."""
     return 1 if category in (R_M_FORMS, NM_FORMS) else 0
@@ -104,7 +104,7 @@ def candidate_meanings(s: SentenceEncoding, profile: LearnerProfile) -> tuple[Ca
     out = []
     for (k, category, concept), key in zip(cands, keys):
         consumed = bisect_left(ordered, key)
-        gated = consumed + overhead(category) < profile.capacity
+        gated = consumed + _overhead(category) < profile.capacity
         out.append(CandidateMeaning(k, category, concept, consumed, gated))
     return tuple(out)
 

@@ -33,7 +33,6 @@ from .world import (
     KnowledgeBase,
     WorldState,
     apply_effects,
-    fresh_state,
     hpd,
     impossible,
     unlikely,
@@ -47,12 +46,6 @@ LEX_SEM_2A = "lex_sem_2a"
 EVENT_PROB_2B = "event_prob_2b"
 PRIOR_KNOWLEDGE_2D = "prior_knowledge_2d"
 GRM_CUES = "grm_cues"
-
-
-def strategy_family(strategy: str) -> str:
-    """Collapse a strategy label to its reporting family: every First Noun
-    Principle variant reports as 'fnp', cues as 'grm_cues'."""
-    return GRM_CUES if strategy == GRM_CUES else "fnp"
 
 
 @value_class
@@ -199,7 +192,7 @@ def interpret_paragraph(p: ParagraphEncoding, profile: LearnerProfile,
     None event and advance the step without effects.
     """
     full_lexicon = as_lexicon(full_lexicon)
-    state = fresh_state(kb)
+    state = WorldState()
     results: list[ExtractedMeaning] = []
     for step, s in enumerate(p.sentences, 1):
         surface, voice = surface_dir_rev(s, full_lexicon)

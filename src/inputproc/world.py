@@ -4,7 +4,7 @@ defeasible unlikelihood patterns, and events known to have happened.
 The action theory is fixed to three actions. An event is executable when its
 agent is animate and alive; kill additionally requires a living patient and is
 the only action with a persistent effect (the patient dies). Everything else
-is inertial.
+is inertial, so a story state records only its step and who the story killed.
 """
 
 from __future__ import annotations
@@ -63,10 +63,11 @@ class UnlikelyRule:
 
 @value_class
 class WorldState:
-    """Story state at a step: which entities are still alive."""
+    """Story state at a step: the entities the story has killed so far. The
+    default value is the start of every story."""
 
-    step: int
-    alive: frozenset[str]
+    step: int = 1
+    dead: frozenset[str] = frozenset()
 
 
 @value_class
@@ -96,11 +97,6 @@ class KnowledgeBase:
         return prop in self.entity(name).properties
 
 
-def fresh_state(kb: KnowledgeBase) -> WorldState:
-    """Step 1 with every declared entity alive."""
-    return WorldState(1, kb.entity_names())
-
-
 def _validate_event(ev: EventTerm, kb: KnowledgeBase) -> None:
     if ev.action not in ACTIONS:
         raise UnknownAction(f"action {ev.action!r} is not one of {ACTIONS}")
@@ -113,9 +109,9 @@ def impossible(ev: EventTerm, state: WorldState, kb: KnowledgeBase) -> bool:
     _validate_event(ev, kb)
     if not kb.has_property(ev.agent, ANIMATE):
         return True
-    if ev.agent not in state.alive:
+    if ev.agent in state.dead:
         return True
-    if ev.action == KILL and ev.patient not in state.alive:
+    if ev.action == KILL and ev.patient in state.dead:
         return True
     return False
 
@@ -146,12 +142,12 @@ def apply_effects(state: WorldState, ev: EventTerm | None, kb: KnowledgeBase) ->
 
     Effects apply even to events the learner wrongly believes occurred.
     """
-    alive = state.alive
+    dead = state.dead
     if ev is not None:
         _validate_event(ev, kb)
         if ev.action == KILL:
-            alive = alive - {ev.patient}
-    return WorldState(state.step + 1, alive)
+            dead = dead | {ev.patient}
+    return WorldState(state.step + 1, dead)
 
 
 # --- world files -----------------------------------------------------------------

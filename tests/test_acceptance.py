@@ -15,6 +15,7 @@ from inputproc import (
     Concept,
     EventTerm,
     MapAtom,
+    WorldState,
     advanced_profile,
     apply_effects,
     beginner_profile,
@@ -23,7 +24,6 @@ from inputproc import (
     deterministic_maps,
     encode_text,
     enumerate_p1_models,
-    fresh_state,
     generate_valuable,
     hpd,
     impossible,
@@ -83,7 +83,7 @@ def test_criterion_1_capacity_ladder(lexicon, cat_bitten):
 
 
 def test_criterion_2_beginner_predictions(kb, lexicon, beginner):
-    step1 = fresh_state(kb)
+    step1 = WorldState()
 
     def interpret(text):
         return interpret_paragraph(encode_text(text), beginner, kb, lexicon)
@@ -130,7 +130,7 @@ def test_criterion_3_advanced_prediction(kb, lexicon, advanced):
 
 
 def test_criterion_4_teaching_value_classification(kb, lexicon):
-    state = fresh_state(kb)
+    state = WorldState()
     expectations = {
         "cat_bitten": True,
         "shoe_bitten": False,
@@ -156,7 +156,7 @@ def test_criterion_5_oracle_equivalence(grammar, kb, lexicon):
         actual = {model_key(m) for m in enumerate_p1_models(s, beginner_profile(lexicon, 11))}
         assert actual == expected, s.text()
 
-    state = fresh_state(kb)
+    state = WorldState()
     expected_texts = [
         s.text().capitalize() + "."
         for s in grammar
@@ -192,7 +192,7 @@ def test_criterion_6_invariant_suites(grammar, kb, lexicon, advanced, beginner):
         assert m.event == correct_meaning(*surface_dir_rev(s, lexicon))
 
     # meaning extraction does not depend on the chosen interpretation
-    state = fresh_state(kb)
+    state = WorldState()
     for s in grammar:
         _, voice = surface_dir_rev(s, lexicon)
         for profile in (advanced, beginner):

@@ -132,6 +132,27 @@ def test_generate_with_empty_lexicon(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("noun, count", [("was", 0), ("the", 0), ("pushed", 92)])
+def test_generate_skips_schema_sentences_it_cannot_read(capsys, text_file, tmp_path, noun, count):
+    # A noun that is also a form or verb word leaves some schema sentences
+    # with no template reading; they are not valuable, and not an error.
+    shipped = os.path.join(os.path.dirname(inputproc.__file__), "data", "lexicon.tsv")
+    lexicon = tmp_path / "lex.tsv"
+    with open(shipped, encoding="utf-8") as f:
+        lexicon.write_text(f.read() + f"{noun}\tcontent\tentity:ball\n", encoding="utf-8")
+    code, out, err = run(capsys, "generate", "--lexicon", str(lexicon))
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == count
+    for line in out.splitlines():
+        path = text_file(line.partition(" [")[0])
+        code, checked, _ = run(capsys, "check", "--text", path, "--lexicon", str(lexicon))
+        assert code == 0 and checked.startswith("valuable(s1) = true ")
+    code, checked, err = run(capsys, "check", "--text", text_file("The cat was pushed by the dog."),
+                             "--lexicon", str(lexicon))
+    assert (code, checked) == (3, "")
+    assert err == "inputproc: error: s1: not an active-transitive or passive sentence\n"
+
+
 @pytest.mark.parametrize("command", ["p1map", "interpret", "check", "generate"])
 def test_structured_output_round_trips(capsys, text_file, command):
     argv = [command, "--format", "structured"]

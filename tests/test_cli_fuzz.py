@@ -11,7 +11,7 @@ import pytest
 import inputproc
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from inputproc.cli import main
 
@@ -46,6 +46,14 @@ def pieces(alphabet, sep=""):
     return st.lists(st.sampled_from(alphabet), max_size=40).map(lambda p: sep.join(p).encode("utf-8"))
 
 
+def call(argv):
+    """Run the command line in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 SENTENCES = ("The cat was bitten by the dog.", "The dog pushed the man.", "Then, tyson killed the cat.",
              "The shoe was pushed by the man.", "The man bitten.")
 
@@ -76,10 +84,65 @@ def test_arbitrary_files_exit_with_a_documented_code(command, text, lexicon, wor
                 with open(path, "wb") as f:
                     f.write(content)
                 argv += [flag, path]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        code, out, err = call(argv)
     assert code in (0, 1, 2, 3)
     if code != 0:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("inputproc: error: ")
+        assert out == ""
+        assert err.startswith("inputproc: error: ")
+
+
+# Noun rows only: the shipped noun rows a case keeps, and new rows whose word is
+# fresh or already a form or verb word of the vocabulary, and whose entity is a
+# fresh one declared in the world or a shipped one (two nouns, one entity).
+with open(os.path.join(DATA, "lexicon.tsv"), encoding="utf-8") as f:
+    LEXICON_ROWS = f.read().splitlines()
+NOUN_ROWS = tuple(row for row in LEXICON_ROWS if "\tentity:" in row)
+OTHER_ROWS = tuple(row for row in LEXICON_ROWS if row not in NOUN_ROWS)
+with open(os.path.join(DATA, "world.tsv"), encoding="utf-8") as f:
+    WORLD = f.read()
+NEW_WORDS = ("fox", "hen", "kitty", "the", "was", "by", "bitten", "pushed", "killed", "then", "cat")
+FRESH_ENTITIES = ("fox", "hen")
+ENTITIES = FRESH_ENTITIES + ("cat", "dog", "man", "ball")
+PROPERTIES = ("", "animate", "animate,human")
+
+
+def edited_nouns(kept, new, properties):
+    """Lexicon and world bytes: the shipped files with only the noun rows edited."""
+    nouns = [*kept, *(f"{word}\tcontent\tentity:{entity}" for word, entity in new)]
+    world = WORLD + "".join(f"entity\t{e}\t{p}\n" for e, p in zip(FRESH_ENTITIES, properties))
+    return "\n".join((*OTHER_ROWS, *nouns)).encode("utf-8"), world.encode("utf-8")
+
+
+noun_edits = st.builds(
+    edited_nouns,
+    st.lists(st.sampled_from(NOUN_ROWS), unique=True),
+    st.lists(st.tuples(st.sampled_from(NEW_WORDS), st.sampled_from(ENTITIES)), min_size=1, max_size=3),
+    st.tuples(*(st.sampled_from(PROPERTIES) for _ in FRESH_ENTITIES)),
+)
+words = st.sampled_from(NEW_WORDS + ("dog", "man", "shoe"))
+verbs = st.sampled_from(("bitten", "pushed", "killed"))
+noun_texts = (st.builds("The {} was {} by the {}.".format, words, verbs, words)
+              | st.builds("The {} {} the {}.".format, words, verbs, words))
+
+
+@settings(max_examples=30, deadline=None)
+@given(files=noun_edits, text=noun_texts)
+@example(files=edited_nouns(NOUN_ROWS, [("was", "ball")], PROPERTIES[:2]),
+         text="The cat was bitten by the dog.")
+def test_edited_noun_rows_exit_with_a_documented_code(files, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for flag, content in zip(("--lexicon", "--world", "--text"), (*files, text.encode("utf-8"))):
+            paths[flag] = os.path.join(tmp, flag.strip("-"))
+            with open(paths[flag], "wb") as f:
+                f.write(content)
+        data = ["--lexicon", paths["--lexicon"], "--world", paths["--world"]]
+        for command, codes in (("generate", {0, 2}), ("check", {0, 2, 3})):
+            argv = [command, *data] + (["--text", paths["--text"]] if command == "check" else [])
+            code, out, err = call(argv)
+            assert code in codes, (command, err)
+            assert "Traceback" not in err
+            if code == 0:
+                assert err == ""
+            else:
+                assert out == "" and err.startswith("inputproc: error: ")

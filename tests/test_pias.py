@@ -5,12 +5,12 @@ from inputproc import (
     GRM_CUES,
     LEX_SEM_2A,
     EventTerm,
+    WorldState,
     beginner_profile,
     check_paragraph,
     check_sentence,
     correct_meaning,
     encode_text,
-    fresh_state,
     generate_valuable,
     interpret_paragraph,
     parse_lexicon,
@@ -23,7 +23,7 @@ from oracles import oracle_valuable_schema_sentences, entry_tuples, world_tuples
 
 
 def check(text, kb, lexicon):
-    return check_sentence(sentence(text), kb, fresh_state(kb), lexicon)
+    return check_sentence(sentence(text), kb, WorldState(), lexicon)
 
 
 def test_default_trap_makes_a_sentence_valuable(kb, lexicon):
@@ -88,7 +88,7 @@ def test_generation_matches_independent_enumeration_and_check(kb, lexicon):
     nouns = sorted({e.word for e in lexicon
                     if e.category == "content_words" and e.concept.kind == "entity"})
     verbs = ["bitten", "killed", "pushed"]
-    state = fresh_state(kb)
+    state = WorldState()
     expected = []
     for n1, v, n2 in product(nouns, verbs, nouns):
         if n1 == n2:
@@ -107,20 +107,20 @@ def test_generation_matches_reimplemented_first_noun_route(kb, lexicon):
 def test_verdicts_agree_with_the_beginner_route(grammar, kb, lexicon):
     beginner = beginner_profile(lexicon)
     for s in grammar:
-        verdict = check_sentence(s, kb, fresh_state(kb), lexicon)
+        verdict = check_sentence(s, kb, WorldState(), lexicon)
         (m,) = interpret_paragraph(encode_text(s.text() + "."), beginner, kb, lexicon)
         truth = correct_meaning(*surface_dir_rev(s, lexicon))
         assert verdict.valuable == (m.event != truth)
 
 
 def test_check_is_stable_under_vocabulary_row_order(kb, lexicon, cat_bitten):
-    forward = check_sentence(cat_bitten, kb, fresh_state(kb), lexicon)
+    forward = check_sentence(cat_bitten, kb, WorldState(), lexicon)
     reversed_rows = "\n".join(
         f"{e.word}\t{_file_category(e.category)}\t{e.concept.kind}:{e.concept.name}"
         for e in sorted(lexicon, key=lambda e: (e.word, e.category, e.concept.name), reverse=True)
     )
     shuffled = parse_lexicon(reversed_rows)
-    assert check_sentence(cat_bitten, kb, fresh_state(kb), shuffled) == forward
+    assert check_sentence(cat_bitten, kb, WorldState(), shuffled) == forward
 
 
 def _file_category(category):

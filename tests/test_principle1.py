@@ -18,7 +18,6 @@ from inputproc import (
     enumerate_p1_models,
     is_ml_ctg_closed,
     is_ml_pos_closed,
-    overhead,
     position_of,
     skippable,
 )
@@ -101,10 +100,22 @@ def test_ranks_of_known_candidates(cat_bitten, advanced):
 
 
 def test_overhead_per_category():
-    assert overhead(R_M_FORMS) == 1
-    assert overhead(NM_FORMS) == 1
-    assert overhead(CONTENT_WORDS) == 0
-    assert overhead(NR_M_FORMS) == 0
+    # One reading of each leaf category. Redundant meaningful and
+    # nonmeaningful forms pay a one-unit surcharge, the others none, so at
+    # capacity consumed + 1 exactly the surcharged readings are gated out.
+    words = {CONTENT_WORDS: "cat", NR_M_FORMS: "the", R_M_FORMS: "by", NM_FORMS: "oh"}
+    lexicon = frozenset(
+        LexEntry(word, category, Concept("entity" if category == CONTENT_WORDS else SEM, word))
+        for category, word in words.items())
+    s = SentenceEncoding("s1", tuple(words.values()))
+    cands = candidate_meanings(s, advanced_profile(lexicon))
+    assert sorted(c.category for c in cands) == sorted(LEAF_CATEGORIES)
+    surcharge = {CONTENT_WORDS: 0, NR_M_FORMS: 0, R_M_FORMS: 1, NM_FORMS: 1}
+    for i, c in enumerate(cands):
+        for extra in (0, 1, 2):
+            at = candidate_meanings(s, advanced_profile(lexicon, c.consumed + extra))[i]
+            assert at.consumed == c.consumed
+            assert at.gated == (surcharge[c.category] < extra)
 
 
 def test_candidate_meanings_report_gate(cat_bitten, lexicon):

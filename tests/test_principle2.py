@@ -15,6 +15,7 @@ from inputproc import (
     NoInterpretation,
     P1Model,
     UnrecognizedTemplate,
+    WorldState,
     advanced_profile,
     beginner_profile,
     correct_meaning,
@@ -22,7 +23,6 @@ from inputproc import (
     encode_text,
     enumerate_p1_models,
     extract_fnp,
-    fresh_state,
     grm_cues_available,
     interpret_paragraph,
     parse_lexicon,
@@ -137,7 +137,7 @@ def test_passive_voice_alone_is_not_a_cue(kb, lexicon, cat_bitten):
 
 
 def test_first_noun_default_and_exceptions(kb, lexicon, beginner):
-    state = fresh_state(kb)
+    state = WorldState()
 
     def pair(text):
         s = sentence(text)
@@ -190,7 +190,7 @@ def test_surface_reading_matches_learner_reading(lexicon, cat_bitten, beginner):
 
 
 def test_label_and_event_agree_on_the_grammar(grammar, kb, lexicon, beginner):
-    state = fresh_state(kb)
+    state = WorldState()
     for s in grammar:
         dr = dir_rev_m(beginner_model(s, beginner), s)
         event, label = extract_fnp(dr, state, kb)
@@ -230,7 +230,7 @@ def test_each_meaning_says_whether_it_is_the_encoded_event(grammar, kb, lexicon,
 
 
 def test_extraction_is_independent_of_the_chosen_model(grammar, kb, lexicon, advanced, beginner):
-    state = fresh_state(kb)
+    state = WorldState()
     for s in grammar:
         _, voice = surface_dir_rev(s, lexicon)
         for profile in (advanced, beginner):

@@ -2,7 +2,9 @@
 
 Each example builds a world over the shipped entities with random properties,
 `unlikely` rules and `hpd` events, and a story of one to four active or
-passive sentences, each with the event it is meant to tell.
+passive sentences, each with the event it is meant to tell. A second family
+declares fresh entities, names them with fresh noun words, tells mostly kills
+with fresh verb words, and reads the shipped function words alone.
 """
 
 import pytest
@@ -12,6 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from inputproc import (
     ACTIONS,
+    CONTENT_WORDS,
+    NR_M_FORMS,
+    Concept,
+    LexEntry,
     advanced_profile,
     beginner_profile,
     check_paragraph,
@@ -85,10 +91,7 @@ def as_tuple(event):
     return (event.action, event.agent, event.patient)
 
 
-@settings(max_examples=100, deadline=None)
-@given(kb=worlds(), story=st.lists(sentences(), min_size=1, max_size=4))
-def test_stories_match_the_first_noun_oracle(kb, story):
-    lexicon = default_lexicon(kb)
+def assert_story_matches_the_oracle(kb, lexicon, story):
     paragraph = encode_text(" ".join(text for text, _ in story))
     intended = [event for _, event in story]
 
@@ -104,3 +107,57 @@ def test_stories_match_the_first_noun_oracle(kb, story):
     assert [as_tuple(v.cue_event) for v in verdicts] == intended
     assert [as_tuple(v.fnp_event) for v in verdicts] == first_noun_events(story, kb, lexicon, intended)
     assert [v.valuable for v in verdicts] == [v.fnp_event != v.cue_event for v in verdicts]
+
+
+@settings(max_examples=100, deadline=None)
+@given(kb=worlds(), story=st.lists(sentences(), min_size=1, max_size=4))
+def test_stories_match_the_first_noun_oracle(kb, story):
+    assert_story_matches_the_oracle(kb, default_lexicon(kb), story)
+
+
+FUNCTION_WORDS = ("the", "was", "by", "then")
+NEW_NOUNS = ("fox", "hen", "owl", "yak", "gnu")
+NEW_VERBS = {"bite": ("nipped", "chomped"), "push": ("shoved", "nudged"), "kill": ("slain", "slew")}
+
+
+@st.composite
+def new_vocabulary_stories(draw):
+    """(world, lexicon, story) over fresh entities, each named by one fresh
+    noun word, and fresh verb words; three in five sentences are kills."""
+    nouns = draw(st.lists(st.sampled_from(NEW_NOUNS), min_size=2, max_size=4, unique=True))
+    entity = {noun: f"{noun}_{i}" for i, noun in enumerate(nouns)}
+    verbs = {action: draw(st.lists(st.sampled_from(words), min_size=1, unique=True))
+             for action, words in NEW_VERBS.items()}
+    pairs = st.lists(st.sampled_from(nouns), min_size=2, max_size=2, unique=True)
+    rows = [f"entity\t{entity[noun]}\t{draw(properties)}" for noun in nouns]
+    rows += ["unlikely\t%s\t%s\t%s" % rule
+             for rule in draw(st.lists(st.tuples(st.sampled_from(ACTIONS), rule_props, rule_props),
+                                       max_size=2))]
+    rows += [f"hpd\t{action}\t{entity[a]}\t{entity[b]}"
+             for action, (a, b) in draw(st.lists(st.tuples(st.sampled_from(ACTIONS), pairs),
+                                                  max_size=2))]
+    kb = parse_world("\n".join(rows) + "\n")
+    lexicon = frozenset(e for e in default_lexicon() if e.word in FUNCTION_WORDS)
+    lexicon |= {LexEntry(noun, CONTENT_WORDS, Concept("entity", entity[noun])) for noun in nouns}
+    for action, words in verbs.items():
+        lexicon |= {LexEntry(w, CONTENT_WORDS, Concept("action", action)) for w in words}
+        lexicon |= {LexEntry(w, NR_M_FORMS, Concept("sem", "past_participle")) for w in words}
+    story = []
+    for _ in range(draw(st.integers(1, 5))):
+        agent, patient = draw(pairs)
+        action = draw(st.sampled_from(("kill", "kill", "kill", "bite", "push")))
+        verb = draw(st.sampled_from(verbs[action]))
+        if draw(st.booleans()):
+            text = f"the {agent} {verb} the {patient}."
+        else:
+            text = f"the {patient} was {verb} by the {agent}."
+        if draw(st.booleans()):
+            text = "Then, " + text
+        story.append((text, (action, entity[agent], entity[patient])))
+    return kb, lexicon, story
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=new_vocabulary_stories())
+def test_stories_over_new_nouns_and_verbs_match_the_first_noun_oracle(case):
+    assert_story_matches_the_oracle(*case)

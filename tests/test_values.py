@@ -56,7 +56,7 @@ VALUES = [
     (EventTerm, dict(action="bite", agent="cat", patient="dog")),
     (EntityDef, dict(name="cat", properties=frozenset({"animate"}))),
     (UnlikelyRule, dict(action="bite", agent_prop="human", patient_prop="*")),
-    (WorldState, dict(step=1, alive=frozenset({"cat", "dog"}))),
+    (WorldState, dict(step=1, dead=frozenset({"cat", "dog"}))),
     (KnowledgeBase, dict(entities=(CAT_DEF,), unlikely_rules=(RULE,), happened=frozenset({BITE}))),
 ]
 IDS = [cls.__name__ for cls, _ in VALUES]

@@ -10,7 +10,6 @@ from inputproc import (
     UnknownEntity,
     WorldState,
     apply_effects,
-    fresh_state,
     hpd,
     impossible,
     parse_world,
@@ -78,28 +77,28 @@ def test_happened_event_may_precede_the_entities_it_names():
 
 
 def test_inanimate_agent_cannot_act(kb):
-    state = fresh_state(kb)
+    state = WorldState()
     assert impossible(EventTerm("bite", "shoe", "dog"), state, kb)
     assert impossible(EventTerm("push", "ball", "rabbit"), state, kb)
 
 
 def test_executable_event_is_possible(kb):
-    assert not impossible(EventTerm("bite", "cat", "dog"), fresh_state(kb), kb)
+    assert not impossible(EventTerm("bite", "cat", "dog"), WorldState(), kb)
 
 
 def test_dead_agent_cannot_act(kb):
-    state = apply_effects(fresh_state(kb), EventTerm("kill", "cat", "dog"), kb)
+    state = apply_effects(WorldState(), EventTerm("kill", "cat", "dog"), kb)
     assert state.step == 2
     assert impossible(EventTerm("push", "dog", "cat"), state, kb)
 
 
 def test_kill_needs_a_living_patient(kb):
-    state = apply_effects(fresh_state(kb), EventTerm("kill", "cat", "dog"), kb)
+    state = apply_effects(WorldState(), EventTerm("kill", "cat", "dog"), kb)
     assert impossible(EventTerm("kill", "man", "dog"), state, kb)
 
 
 def test_human_biting_is_unlikely(kb):
-    state = fresh_state(kb)
+    state = WorldState()
     assert unlikely(EventTerm("bite", "man", "dog"), state, kb)
     assert not unlikely(EventTerm("bite", "dog", "man"), state, kb)
     assert not unlikely(EventTerm("push", "cat", "dog"), state, kb)
@@ -113,34 +112,41 @@ def test_happened_is_set_membership(kb):
 
 
 def test_kill_removes_patient(kb):
-    state = apply_effects(fresh_state(kb), EventTerm("kill", "cat", "dog"), kb)
+    state = apply_effects(WorldState(), EventTerm("kill", "cat", "dog"), kb)
     assert state.step == 2
-    assert "dog" not in state.alive
+    assert "dog" in state.dead
+
+
+def test_kill_on_a_large_world_records_only_the_patient():
+    kb = parse_world("".join(f"entity\te{i}\tanimate\n" for i in range(10_000)))
+    ev = EventTerm("kill", "e17", "e9999")
+    assert apply_effects(WorldState(), ev, kb) == WorldState(2, frozenset({"e9999"}))
+    assert WorldState() == WorldState(1, frozenset())
 
 
 def test_push_is_inertial(kb):
-    before = fresh_state(kb)
+    before = WorldState()
     after = apply_effects(before, EventTerm("push", "cat", "dog"), kb)
     assert after.step == 2
-    assert after.alive == before.alive
+    assert after.dead == before.dead
 
 
 def test_no_event_advances_only_the_step(kb):
-    before = apply_effects(fresh_state(kb), EventTerm("kill", "cat", "dog"), kb)
+    before = apply_effects(WorldState(), EventTerm("kill", "cat", "dog"), kb)
     after = apply_effects(before, None, kb)
-    assert after == WorldState(before.step + 1, before.alive)
+    assert after == WorldState(before.step + 1, before.dead)
 
 
 def test_killing_the_dead_changes_nothing_but_the_step(kb):
     # brute-force state diff: only the step may move on a repeated kill
-    once = apply_effects(fresh_state(kb), EventTerm("kill", "cat", "dog"), kb)
+    once = apply_effects(WorldState(), EventTerm("kill", "cat", "dog"), kb)
     twice = apply_effects(once, EventTerm("kill", "cat", "dog"), kb)
     assert twice.step == once.step + 1
-    assert twice.alive == once.alive
+    assert twice.dead == once.dead
 
 
 def test_unknown_entity_and_action_rejected(kb):
-    state = fresh_state(kb)
+    state = WorldState()
     calls = (lambda ev: impossible(ev, state, kb), lambda ev: unlikely(ev, state, kb),
              lambda ev: apply_effects(state, ev, kb))
     for call in calls:
@@ -154,20 +160,20 @@ def test_unknown_entity_and_action_rejected(kb):
 
 def test_unlikely_rule_constrains_the_patient():
     kb = parse_world("entity\tman\tanimate,human\nentity\tcat\tanimate\nunlikely\tbite\t*\thuman\n")
-    state = fresh_state(kb)
+    state = WorldState()
     assert unlikely(EventTerm("bite", "cat", "man"), state, kb) is True
     assert unlikely(EventTerm("bite", "man", "cat"), state, kb) is False
 
 
 def test_predicates_that_do_not_hold_return_false(kb):
-    state = fresh_state(kb)
+    state = WorldState()
     ev = EventTerm("bite", "cat", "dog")
     assert impossible(ev, state, kb) is False
     assert unlikely(ev, state, kb) is False
 
 
 def test_unlikely_never_overlaps_impossible_on_fresh_state(kb):
-    state = fresh_state(kb)
+    state = WorldState()
     names = sorted(kb.entity_names())
     for action, agent, patient in product(ACTIONS, names, names):
         ev = EventTerm(action, agent, patient)
@@ -175,22 +181,23 @@ def test_unlikely_never_overlaps_impossible_on_fresh_state(kb):
 
 
 def test_dead_agent_blocks_every_action(kb):
-    state = apply_effects(fresh_state(kb), EventTerm("kill", "cat", "dog"), kb)
+    state = apply_effects(WorldState(), EventTerm("kill", "cat", "dog"), kb)
     for action in ACTIONS:
         assert impossible(EventTerm(action, "dog", "cat"), state, kb)
 
 
 def test_effects_keep_alive_within_declared_entities(kb):
-    state = fresh_state(kb)
+    state = WorldState()
     for ev in (EventTerm("kill", "cat", "dog"), EventTerm("push", "man", "cat"),
                EventTerm("kill", "man", "cat")):
         state = apply_effects(state, ev, kb)
-        assert state.alive <= kb.entity_names()
+        assert state.dead <= kb.entity_names()
     assert state.step == 4
+    assert state.dead == frozenset({"dog", "cat"})
 
 
 def test_predicates_are_pure(kb):
-    state = fresh_state(kb)
+    state = WorldState()
     ev = EventTerm("bite", "man", "dog")
     assert impossible(ev, state, kb) == impossible(ev, state, kb)
     assert unlikely(ev, state, kb) == unlikely(ev, state, kb)
@@ -201,6 +208,6 @@ def test_knowledge_base_is_frozen_and_shares_what_it_can(kb):
     with pytest.raises(AttributeError, match="cannot assign to field 'entities'"):
         kb.entities = ()
     assert kb.entity_names() is kb.entity_names()
-    assert fresh_state(kb).alive is kb.entity_names()
+    assert WorldState().dead == frozenset()
     assert kb.entity("cat").properties is kb.entity("dog").properties
     assert parse_world("entity\tcat\tanimate") == parse_world("entity\tcat\tanimate")
