@@ -58,7 +58,6 @@ from .principle2 import (
     correct_meaning,
     dir_rev_m,
     extract_fnp,
-    grm_cues_available,
     interpret_paragraph,
     surface_dir_rev,
 )

@@ -15,18 +15,11 @@ from __future__ import annotations
 from itertools import product
 
 from ._value import value_class
-from .errors import NoInterpretation, UnrecognizedTemplate
+from .errors import UnrecognizedTemplate
 from .lexicon import LexEntry, advanced_profile, as_lexicon
-from .principle1 import enumerate_p1_models
-from .principle2 import (
-    GRM_CUES,
-    correct_meaning,
-    dir_rev_m,
-    extract_fnp,
-    surface_dir_rev,
-)
+from .principle2 import GRM_CUES, _reading, _story, extract_fnp
 from .text import ParagraphEncoding, SentenceEncoding, encode_text
-from .world import EventTerm, KnowledgeBase, WorldState, apply_effects
+from .world import EventTerm, KnowledgeBase, WorldState
 
 CHECK_CAPACITY = 11
 CHECK_POSITION_WINDOW = 2
@@ -62,19 +55,15 @@ class Schema:
 def check_sentence(s: SentenceEncoding, kb: KnowledgeBase, state: WorldState,
                    lexicon: frozenset[LexEntry]) -> ValuableVerdict:
     """Compare the First-Noun-Principle reading against the grammatical-cue
-    reading of one sentence in the given story state."""
+    reading of one sentence in the given story state. The cue route reads
+    the event the grammar encodes, as `interpret_paragraph` does."""
     profile = advanced_profile(lexicon, CHECK_CAPACITY, CHECK_POSITION_WINDOW)
-    _, voice = surface_dir_rev(s, profile.lexicon)
-    model = enumerate_p1_models(s, profile)[0]
-    try:
-        dr = dir_rev_m(model, s)
-    except NoInterpretation:
+    cue_event, dr, _ = _reading(s, profile, profile.lexicon)
+    if dr is None:
         return ValuableVerdict(s.id, False, None, None, (NO_INTERPRETATION, NO_INTERPRETATION))
-    cue_event = correct_meaning(dr, voice)
     fnp_event, fnp_label = extract_fnp(dr, state, kb)
-    return ValuableVerdict(
-        s.id, fnp_event != cue_event, fnp_event, cue_event, (fnp_label, GRM_CUES)
-    )
+    return ValuableVerdict(s.id, fnp_event != cue_event, fnp_event, cue_event,
+                           (fnp_label, GRM_CUES))
 
 
 def check_paragraph(p: ParagraphEncoding, kb: KnowledgeBase,
@@ -86,13 +75,12 @@ def check_paragraph(p: ParagraphEncoding, kb: KnowledgeBase,
     iff any sentence verdict is.
     """
     lexicon = as_lexicon(lexicon)
-    state = WorldState()
-    verdicts = []
-    for s in p.sentences:
+
+    def read(s: SentenceEncoding, state: WorldState):
         verdict = check_sentence(s, kb, state, lexicon)
-        verdicts.append(verdict)
-        state = apply_effects(state, verdict.cue_event, kb)
-    return tuple(verdicts)
+        return verdict, verdict.cue_event
+
+    return _story(p, read, kb)
 
 
 def schemas(lexicon: frozenset[LexEntry]) -> tuple[Schema, ...]:

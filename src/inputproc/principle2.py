@@ -132,20 +132,6 @@ def correct_meaning(dr: DirRev, voice: str) -> EventTerm:
     return dr.reverse if voice == PASSIVE else dr.direct
 
 
-def grm_cues_available(model: P1Model, s: SentenceEncoding, voice: str,
-                       profile: LearnerProfile) -> bool:
-    """Did this learner process enough grammatical form to assign roles?
-
-    Passive: the mapping must contain both the passive-voice and the
-    past-participle concepts. Active: any internalized form entry counts as a
-    developing system that has incorporated cues.
-    """
-    if voice == PASSIVE:
-        concepts = {a.concept for a in model.atoms}
-        return PASSIVE_VOICE_CONCEPT in concepts and PAST_PARTICIPLE_CONCEPT in concepts
-    return profile.lexicon.has_forms
-
-
 def extract_fnp(dr: DirRev, state: WorldState, kb: KnowledgeBase) -> tuple[EventTerm, str]:
     """Apply the First Noun Principle with its exceptions.
 
@@ -167,18 +153,46 @@ def extract_fnp(dr: DirRev, state: WorldState, kb: KnowledgeBase) -> tuple[Event
     return direct, FNP_DEFAULT
 
 
-def extract_with_model(model: P1Model, s: SentenceEncoding, voice: str,
-                       profile: LearnerProfile, state: WorldState,
-                       kb: KnowledgeBase) -> tuple[EventTerm | None, str | None]:
-    """Meaning extraction for one sentence given a chosen interpretation of
-    Principle 1. Returns (None, None) when the mapping is too sparse."""
+def _grm_cues_available(model: P1Model, voice: str, profile: LearnerProfile) -> bool:
+    """Did this learner process enough grammatical form to assign roles?
+
+    Passive: the mapping must contain both the passive-voice and the
+    past-participle concepts. Active: any internalized form entry counts as a
+    developing system that has incorporated cues.
+    """
+    if voice == PASSIVE:
+        concepts = {a.concept for a in model.atoms}
+        return PASSIVE_VOICE_CONCEPT in concepts and PAST_PARTICIPLE_CONCEPT in concepts
+    return profile.lexicon.has_forms
+
+
+def _reading(s: SentenceEncoding, profile: LearnerProfile,
+             lexicon: frozenset[LexEntry]) -> tuple[EventTerm, DirRev | None, bool]:
+    """One sentence, read once: the event its grammar encodes, the learner's
+    reading pair from the canonical (no-skip) Principle-1 interpretation, or
+    None when that mapping is too sparse to name one, and whether the learner
+    processed the grammatical cues. Every interpretation has the same
+    concepts, so the choice of the canonical one changes neither."""
+    surface, voice = surface_dir_rev(s, lexicon)
+    model = enumerate_p1_models(s, profile)[0]
     try:
         dr = dir_rev_m(model, s)
     except NoInterpretation:
-        return None, None
-    if grm_cues_available(model, s, voice, profile):
-        return correct_meaning(dr, voice), GRM_CUES
-    return extract_fnp(dr, state, kb)
+        dr = None
+    return correct_meaning(surface, voice), dr, _grm_cues_available(model, voice, profile)
+
+
+def _story(p: ParagraphEncoding, read, kb: KnowledgeBase) -> tuple:
+    """Fold `read(s, state) -> (result, event)` over a paragraph from the
+    start of a story. Each event, right or wrong, drives the state the next
+    sentence is read in; None advances the step without effects."""
+    state = WorldState()
+    results = []
+    for s in p.sentences:
+        result, event = read(s, state)
+        results.append(result)
+        state = apply_effects(state, event, kb)
+    return tuple(results)
 
 
 def interpret_paragraph(p: ParagraphEncoding, profile: LearnerProfile,
@@ -186,19 +200,17 @@ def interpret_paragraph(p: ParagraphEncoding, profile: LearnerProfile,
                         full_lexicon: frozenset[LexEntry]) -> tuple[ExtractedMeaning, ...]:
     """Interpret a paragraph sentence by sentence from a fresh story state.
 
-    Each sentence uses the canonical (no-skip) Principle-1 interpretation.
-    The extracted event, correct or not, drives the state the next sentence
-    is judged against; sentences too sparse to interpret are recorded with a
-    None event and advance the step without effects.
+    A learner who processed the cues reads the event the grammar encodes;
+    any other takes the First Noun Principle route on their own reading
+    pair. Sentences too sparse to interpret are recorded with a None event.
     """
     full_lexicon = as_lexicon(full_lexicon)
-    state = WorldState()
-    results: list[ExtractedMeaning] = []
-    for step, s in enumerate(p.sentences, 1):
-        surface, voice = surface_dir_rev(s, full_lexicon)
-        model = enumerate_p1_models(s, profile)[0]
-        event, strategy = extract_with_model(model, s, voice, profile, state, kb)
-        correct = None if event is None else event == correct_meaning(surface, voice)
-        results.append(ExtractedMeaning(s.id, event, strategy, step, correct))
-        state = apply_effects(state, event, kb)
-    return tuple(results)
+
+    def read(s: SentenceEncoding, state: WorldState):
+        truth, dr, cues = _reading(s, profile, full_lexicon)
+        if dr is None:
+            return ExtractedMeaning(s.id, None, None, state.step, None), None
+        event, strategy = (truth, GRM_CUES) if cues else extract_fnp(dr, state, kb)
+        return ExtractedMeaning(s.id, event, strategy, state.step, event == truth), event
+
+    return _story(p, read, kb)

@@ -1,11 +1,13 @@
 import pytest
 
 from inputproc import (
+    CONTENT_WORDS,
     advanced_profile,
     beginner_profile,
     default_lexicon,
     default_world,
     encode_text,
+    enumerate_p1_models,
     schemas,
 )
 
@@ -27,6 +29,20 @@ STORIES = {
 
 def sentence(text):
     return encode_text(text).sentences[0]
+
+
+def assert_models_differ_only_in_skipped_forms(s, profile):
+    """Every interpretation keeps each content-word atom of the canonical one,
+    skips form atoms only, and extracts the same concepts, so extraction reads
+    the same reading pair and cue concepts whichever one is chosen."""
+    canonical, *others = enumerate_p1_models(s, profile)
+    content = {a for a in canonical.atoms if a.category == CONTENT_WORDS}
+    concepts = {a.concept for a in canonical.atoms}
+    for model in others:
+        assert content <= model.atoms
+        assert model.skipped and all(a.category != CONTENT_WORDS for a in model.skipped)
+        assert model.atoms | model.skipped == canonical.atoms
+        assert {a.concept for a in model.atoms} == concepts
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,7 @@ from inputproc import (
     check_sentence,
     correct_meaning,
     deterministic_maps,
+    dir_rev_m,
     encode_text,
     enumerate_p1_models,
     generate_valuable,
@@ -34,9 +35,13 @@ from inputproc import (
     unlikely,
 )
 from inputproc.lexicon import LEAF_CATEGORIES
-from inputproc.principle2 import extract_with_model
 
-from conftest import SINGLE_SENTENCES, STORIES, sentence
+from conftest import (
+    SINGLE_SENTENCES,
+    STORIES,
+    assert_models_differ_only_in_skipped_forms,
+    sentence,
+)
 from oracles import brute_force_models, entry_tuples, model_key
 
 
@@ -192,15 +197,10 @@ def test_criterion_6_invariant_suites(grammar, kb, lexicon, advanced, beginner):
         assert m.event == correct_meaning(*surface_dir_rev(s, lexicon))
 
     # meaning extraction does not depend on the chosen interpretation
-    state = WorldState()
     for s in grammar:
-        _, voice = surface_dir_rev(s, lexicon)
         for profile in (advanced, beginner):
-            outcomes = {
-                extract_with_model(model, s, voice, profile, state, kb)
-                for model in enumerate_p1_models(s, profile)
-            }
-            assert len(outcomes) == 1, s.text()
+            assert_models_differ_only_in_skipped_forms(s, profile)
+            assert len({dir_rev_m(m, s) for m in enumerate_p1_models(s, profile)}) == 1, s.text()
 
     # a world with no obstacles never overrides the first-noun default
     neutral = parse_world(

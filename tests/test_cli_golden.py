@@ -32,6 +32,7 @@ TEXTS = {
     "verb_last": "The cat the dog pushed.",
     "kit_bitten": "The kit was bitten by the dog. Then, the dog was pushed by the kit.",
     "then_pushed": "Then, the dog was pushed by the cat.",
+    "zz_pushed": "Cat pushed dog zz ball.",
 }
 GRAMMAR_TEXTS = [*SINGLE_SENTENCES, *STORIES]
 
@@ -57,6 +58,13 @@ INPUT_FILES.update({
     "then_lexicon.tsv": _shipped("lexicon.tsv") + "".join(f"then\tcontent\tdisc:t{i}\n" for i in range(9)),
     "the_lexicon.tsv": _shipped("lexicon.tsv") + "".join(f"the\tcontent\tdisc:d{i}\n" for i in range(4)),
 })
+
+# With 12 readings of "zz" the gate drops the medial "dog" of "zz_pushed" but
+# keeps "cat", "pushed" and the final "ball": the learner's first-noun reading
+# is ev(push, cat, ball), while the grammar encodes ev(push, cat, dog). Both
+# `check` and `interpret` take the cue route's event from the grammar.
+INPUT_FILES["zz_lexicon.tsv"] = _shipped("lexicon.tsv") + "".join(
+    f"zz\tcontent\tdisc:z{i}\n" for i in range(12))
 
 
 def cases():
@@ -85,6 +93,9 @@ def cases():
     for word in ("then", "the"):
         out["check"][f"{word}_readings"] = [
             "check", "--text", "then_pushed.txt", "--lexicon", f"{word}_lexicon.tsv"]
+    out["check"]["zz_readings"] = ["check", "--text", "zz_pushed.txt", "--lexicon", "zz_lexicon.tsv"]
+    out["interpret"]["zz_readings-advanced"] = [
+        "interpret", "--learner", "advanced", "--text", "zz_pushed.txt", "--lexicon", "zz_lexicon.tsv"]
     return out
 
 

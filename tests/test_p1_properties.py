@@ -1,5 +1,7 @@
 """Principle 1 on random small vocabularies, checked against the brute-force
-oracle at every capacity from 0 to one past the candidate count."""
+oracle at every capacity from 0 to one past the candidate count, and for the
+fact that meaning extraction relies on: interpretations differ only in form
+atoms whose concepts they keep."""
 
 import pytest
 
@@ -17,6 +19,7 @@ from inputproc import (
     enumerate_p1_models,
 )
 
+from conftest import assert_models_differ_only_in_skipped_forms
 from oracles import brute_force_models, entry_tuples, model_key
 
 WORDS = ("a", "b", "c", "d")
@@ -48,3 +51,13 @@ def test_models_match_bruteforce_on_random_vocabularies(lexicon, tokens, n):
     for capacity in range(count + 2):
         actual = {model_key(m) for m in enumerate_p1_models(s, advanced_profile(lexicon, capacity, n))}
         assert actual == brute_force_models(tokens, entries, capacity, n)
+
+
+# About one example in twelve has more than one interpretation.
+@settings(max_examples=200, deadline=None)
+@given(lexicon=lexicons, tokens=sentences, n=st.integers(1, 4))
+def test_models_differ_only_in_skipped_forms_on_random_vocabularies(lexicon, tokens, n):
+    s = SentenceEncoding("s1", tuple(tokens))
+    count = sum(len(lexicon.readings(t)) for t in tokens)
+    for capacity in range(count + 2):
+        assert_models_differ_only_in_skipped_forms(s, advanced_profile(lexicon, capacity, n))

@@ -23,15 +23,18 @@ from inputproc import (
     encode_text,
     enumerate_p1_models,
     extract_fnp,
-    grm_cues_available,
     interpret_paragraph,
     parse_lexicon,
     parse_world,
     surface_dir_rev,
 )
-from inputproc.principle2 import extract_with_model
 
-from conftest import SINGLE_SENTENCES, STORIES, sentence
+from conftest import (
+    SINGLE_SENTENCES,
+    STORIES,
+    assert_models_differ_only_in_skipped_forms,
+    sentence,
+)
 
 NOT_A_TEMPLATE = "^s1: not an active-transitive or passive sentence$"
 
@@ -114,15 +117,15 @@ def test_symmetric_events_collapse():
     assert correct_meaning(dr, ACTIVE) == correct_meaning(dr, PASSIVE)
 
 
-def test_cue_availability_tracks_processed_forms(cat_bitten, lexicon, beginner):
-    advanced_full = enumerate_p1_models(cat_bitten, advanced_profile(lexicon, 11))[0]
-    assert grm_cues_available(advanced_full, cat_bitten, PASSIVE, advanced_profile(lexicon, 11))
-    assert not grm_cues_available(beginner_model(cat_bitten, beginner), cat_bitten,
-                                  PASSIVE, beginner)
+def test_cue_availability_tracks_processed_forms(kb, lexicon, beginner):
+    def strategy(profile):
+        (m,) = interpret_paragraph(encode_text(SINGLE_SENTENCES["cat_bitten"]), profile, kb, lexicon)
+        return m.strategy
+
+    assert strategy(advanced_profile(lexicon, 11)) == GRM_CUES
+    assert strategy(beginner) == FNP_DEFAULT
     # with capacity 3 even the advanced learner processes content words only
-    low = advanced_profile(lexicon, 3)
-    assert not grm_cues_available(enumerate_p1_models(cat_bitten, low)[0], cat_bitten,
-                                  PASSIVE, low)
+    assert strategy(advanced_profile(lexicon, 3)) == FNP_DEFAULT
 
 
 def test_passive_voice_alone_is_not_a_cue(kb, lexicon, cat_bitten):
@@ -229,16 +232,15 @@ def test_each_meaning_says_whether_it_is_the_encoded_event(grammar, kb, lexicon,
         assert m.event is None and m.correct is None
 
 
-def test_extraction_is_independent_of_the_chosen_model(grammar, kb, lexicon, advanced, beginner):
-    state = WorldState()
+def test_extraction_is_independent_of_the_chosen_model(grammar, advanced, beginner):
+    several = 0
     for s in grammar:
-        _, voice = surface_dir_rev(s, lexicon)
         for profile in (advanced, beginner):
-            outcomes = {
-                extract_with_model(model, s, voice, profile, state, kb)
-                for model in enumerate_p1_models(s, profile)
-            }
-            assert len(outcomes) == 1
+            assert_models_differ_only_in_skipped_forms(s, profile)
+            models = enumerate_p1_models(s, profile)
+            several += len(models) > 1
+            assert len({dir_rev_m(m, s) for m in models}) == 1
+    assert several
 
 
 def test_interpretation_is_deterministic(kb, lexicon, beginner):

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from inputproc import (
     ACTIONS,
     CONTENT_WORDS,
+    GRM_CUES,
     NR_M_FORMS,
     Concept,
     LexEntry,
@@ -26,6 +27,7 @@ from inputproc import (
     interpret_paragraph,
     parse_world,
 )
+from inputproc.pias import NO_INTERPRETATION
 
 from oracles import entry_tuples, oracle_first_noun_event, world_tuples
 
@@ -161,3 +163,38 @@ def new_vocabulary_stories(draw):
 @given(case=new_vocabulary_stories())
 def test_stories_over_new_nouns_and_verbs_match_the_first_noun_oracle(case):
     assert_story_matches_the_oracle(*case)
+
+
+CROWD = "zz"
+
+
+@st.composite
+def crowded_sentences(draw):
+    """(text, intended event) of "A V [the] P zz O.": a sentence-initial verb,
+    a medial patient, and a third noun after the crowded word. With eight or
+    more readings of "zz" the gate drops the patient but keeps the verb and O."""
+    agent, patient = draw(entity_pairs)
+    other = draw(st.sampled_from(ENTITIES))
+    verb = draw(st.sampled_from(sorted(ACTIVE_VERBS)))
+    the = draw(st.sampled_from(("", "the ")))
+    return f"{agent} {verb} {the}{patient} {CROWD} {other}.", (ACTIVE_VERBS[verb], agent, patient)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kb=worlds(), story=st.lists(st.one_of(sentences(), crowded_sentences()), min_size=1, max_size=4),
+       crowd=st.integers(0, 14), capacity=st.integers(0, 14), n=st.integers(1, 3))
+def test_the_cue_route_reads_the_event_the_grammar_encodes(kb, story, crowd, capacity, n):
+    lexicon = default_lexicon(kb) | {LexEntry(CROWD, CONTENT_WORDS, Concept("disc", f"z{i}"))
+                                     for i in range(crowd)}
+    paragraph = encode_text(" ".join(text for text, _ in story))
+    intended = [event for _, event in story]
+    for profile in (advanced_profile(lexicon), advanced_profile(lexicon, capacity, n)):
+        for m, event in zip(interpret_paragraph(paragraph, profile, kb, lexicon), intended):
+            if m.strategy == GRM_CUES:
+                assert m.correct is True and as_tuple(m.event) == event
+    for v, event in zip(check_paragraph(paragraph, kb, lexicon), intended):
+        if v.cue_event is None:
+            assert (v.valuable, v.fnp_event, v.explanation) == (
+                False, None, (NO_INTERPRETATION, NO_INTERPRETATION))
+        else:
+            assert as_tuple(v.cue_event) == event
